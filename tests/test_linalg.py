@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -93,3 +97,33 @@ def test_tridiagonal_matches_dense():
             m[k, k + 1] = m[k + 1, k] = e[k]
         assert np.max(np.abs(tridiagonal_eigenvalues(d, e)
                              - sym_eigenvalues(m, "lapack"))) < 1e-12
+
+
+def test_tridiagonal_matches_scipy_bitwise():
+    from scipy.linalg import eigvalsh_tridiagonal
+    rng = np.random.default_rng(13)
+    for n in (2, 3, 9, 64, 200):
+        d = rng.standard_normal(n)
+        e = rng.standard_normal(n - 1)
+        ours = tridiagonal_eigenvalues(d, e)
+        assert ours.tobytes() == eigvalsh_tridiagonal(d, e)[::-1].tobytes()
+
+
+def test_tridiagonal_failures_are_typed():
+    with pytest.raises(ConvergenceError):
+        tridiagonal_eigenvalues(np.array([1.0, np.nan, 2.0]), np.array([0.5, 0.1]))
+    with pytest.raises(ValueError):
+        tridiagonal_eigenvalues(np.zeros(3), np.zeros(3))
+
+
+def test_import_does_not_load_scipy():
+    # scipy is only needed by the tridiagonal path, imported on first use
+    import unruh
+    src = os.path.dirname(os.path.dirname(unruh.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, unruh; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

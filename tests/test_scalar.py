@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from unruh.errors import ConvergenceError, TruncationError
-from unruh.fock import (Bipartition, FieldKind, Subsystem,
+from unruh import scalar
+from unruh.errors import ConvergenceError, NotAStateError, TruncationError
+from unruh.fock import (Bipartition, FieldKind, StateVector, Subsystem,
                         partial_transpose, reduced_density_matrix)
 from unruh.linalg import sym_eigenvalues
 from unruh.measures import negativity, von_neumann_entropy
@@ -12,8 +13,9 @@ from unruh.scalar import (HardcoreConfig, TruncationConfig,
                           antirob_entropy_from_rob, hardcore_report,
                           hardcore_rho, hardcore_tripartite_state,
                           one_particle_tail, rapidity_scalar, resolve_n_max,
-                          rob_weight, rrbar_block, rrbar_block_basis,
-                          rrbar_block_constructive,
+                          rob_weight, rrbar_band_constructive, rrbar_block,
+                          rrbar_block_basis, rrbar_block_constructive,
+                          rrbar_block_diagonals,
                           scalar_closed_rho, scalar_constructive_measures,
                           scalar_entropies, scalar_negativity_AR,
                           scalar_negativity_ARbar, scalar_negativity_RRbar,
@@ -334,6 +336,82 @@ def test_constructive_pt_is_block_diagonal():
     assert abs(dense - blockwise) < 1e-10
 
 
+@pytest.mark.parametrize("r,n_max", [(0.1, None), (R_HALF, None), (0.9, 3),
+                                     (1.2, 6), (1.5, None)])
+def test_band_equals_dense_block_diagonals(r, n_max):
+    psi = scalar_tripartite_state(r, TruncationConfig(n_max=n_max))
+    d_r, d_b = psi.dims[1:]
+    # blocks past d_r + d_b - 1 lie wholly beyond the cutoff and read 0
+    for d in range(1, d_r + d_b + 3):
+        block = rrbar_block_constructive(psi, d)
+        diag, off = rrbar_band_constructive(psi, d)
+        assert diag.tobytes() == np.diag(block).tobytes()
+        assert off.tobytes() == np.diag(block, 1).tobytes()
+
+
+def test_closed_diagonals_match_loop_transcription():
+    for r in (0.0, R_HALF, 1.65):
+        t, ch = math.tanh(r), math.cosh(r)
+        for d in (1, 2, 3, 8, 57, 300):
+            couplings = [t ** (d - 1) / (2 * ch ** 2) if ell % 2 else
+                         math.sqrt((d - ell // 2) * (ell // 2)) * t ** (d - 2)
+                         / (2 * ch ** 4) for ell in range(1, d + 1)]
+            diag, off = rrbar_block_diagonals(r, d)
+            assert off.tolist() == couplings[:-1]
+            assert diag.tolist() == [0.0] * (d - 1) + couplings[-1:]
+
+
+def _with_stray_amplitudes(psi, eps, labels):
+    amps = psi.tensor().copy()
+    for a, n, m in labels:
+        amps[a, n, m] += eps
+    flat = amps.ravel()
+    return StateVector(psi.basis, flat, trace_deficit=1.0 - float(flat @ flat))
+
+
+def _dense_blocks_tridiagonal(psi):
+    d_r, d_b = psi.dims[1:]
+    for d in range(2, d_r + d_b):
+        block = rrbar_block_constructive(psi, d)
+        off_band = np.triu(block, 2)
+        if np.max(np.abs(off_band)) > 1e-14 * max(1.0, np.max(np.abs(block))):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("eps,labels", [
+    (1e-3, [(0, 3, 1), (0, 5, 3)]),              # offset 2, one component
+    (1e-3, [(0, 1, 3), (1, 4, 6)]),              # offset -2, split: no pair
+    (1e-3, [(1, 2, 6), (1, 4, 8), (0, 0, 4)]),   # offset -4, three labels
+    (1e-8, [(0, 3, 1), (0, 5, 3)]),              # product below the tolerance
+    (1e-3, [(0, 4, 1)]),                         # a lone label sits on the diagonal
+])
+def test_tridiagonality_check_matches_dense_blocks(eps, labels):
+    psi = _with_stray_amplitudes(
+        scalar_tripartite_state(0.6, TruncationConfig(n_max=8)), eps, labels)
+    if _dense_blocks_tridiagonal(psi):
+        scalar.check_rrbar_tridiagonal(psi)
+    else:
+        with pytest.raises(NotAStateError):
+            scalar.check_rrbar_tridiagonal(psi)
+
+
+def test_oracle_rejects_off_band_amplitudes():
+    psi = _with_stray_amplitudes(
+        scalar_tripartite_state(0.6, TruncationConfig(n_max=8)), 1e-3,
+        [(0, 3, 1), (0, 5, 3)])
+    with pytest.raises(NotAStateError):
+        scalar._constructive_rrbar_negativity(psi, CFG.d_max, CFG.block_tol)
+
+
+def test_oracle_reads_bands_not_dense_blocks(monkeypatch):
+    def dense(*args):
+        raise AssertionError("the oracle built a dense block")
+    monkeypatch.setattr(scalar, "rrbar_block_constructive", dense)
+    built = scalar_constructive_measures(1.0, CFG)["N_RRbar"]
+    assert abs(built - scalar_negativity_RRbar(1.0, CFG)) < 1e-9
+
+
 def test_rrbar_negativity_series():
     assert scalar_negativity_RRbar(0.0, CFG) == 0.0
     # the first two blocks carry no negativity except 3/32 from the second
@@ -466,6 +544,13 @@ def test_hardcore_rrbar_nonmonotonic():
     assert vals[0.0] == 0.0
     assert vals[0.8] > 1e-4
     assert vals[6.0] < 1e-4
+
+
+def test_hardcore_large_r_is_a_truncation_error():
+    # tanh^2 r rounds to 1: the one-particle tail is the whole mass
+    with pytest.raises(TruncationError, match=r"cap 2 .*r=10\.6"):
+        hardcore_report(10.6, HardcoreConfig(cap=2))
+    assert hardcore_report(10.5, HardcoreConfig(cap=2)).trace_deficit < 1.0
 
 
 def test_hardcore_report_oracle():

@@ -27,8 +27,20 @@ def test_config_validation():
         SweepConfig(field_kind=FieldKind.SCALAR, r_min=1.0, r_max=0.5)
     with pytest.raises(ValueError):
         SweepConfig(field_kind=FieldKind.HARDCORE)  # cap missing
+    with pytest.raises(ValueError, match="cap"):
+        SweepConfig(field_kind=FieldKind.HARDCORE, cap=0)
     with pytest.raises(ValueError):
         SweepConfig(field_kind=FieldKind.SCALAR, checks=("bogus",))
+
+
+@pytest.mark.parametrize("override", [
+    {"r_max": math.nan}, {"r_max": math.inf}, {"r_min": math.nan},
+    {"d_max": 1}, {"tail_tol": math.nan}, {"tail_tol": 0.0},
+    {"block_tol": math.inf}, {"block_tol": -1e-14}, {"n_max": 0},
+])
+def test_config_rejects_values_a_point_would_fail_on(override):
+    with pytest.raises(ValueError):
+        SweepConfig(field_kind=FieldKind.SCALAR, **override)
 
 
 def test_grid_endpoints():
@@ -159,6 +171,29 @@ def test_cli_usage_errors(capsys):
 def test_cli_invalid_range(capsys):
     rc = main(["--field", "dirac", "--r-max", "2.0"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("args", [["--r-max", "nan"], ["--r-max", "inf"],
+                                  ["--d-max", "1"], ["--tail-tol", "nan"]])
+def test_cli_invalid_values_are_usage_errors(tmp_path, capsys, args):
+    out = tmp_path / "x.csv"
+    rc = main(["--field", "scalar", "--steps", "3", "--out", str(out)] + args)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_hardcore_past_float_range_is_a_failed_row(tmp_path, capsys):
+    # at r = 10.6 tanh^2 r rounds to 1 and a cap-2 state keeps no mass
+    out = tmp_path / "hc.csv"
+    rc = main(["--field", "hardcore", "--cap", "2", "--r-min", "10.4",
+               "--r-max", "10.6", "--steps", "2", "--out", str(out)])
+    assert rc == 3
+    assert "row 1 (r=10.6) failed: cap 2" in capsys.readouterr().err
+    rows = read_csv_rows(str(out))
+    assert not math.isnan(rows[0]["N_RRbar"])
+    assert math.isnan(rows[1]["N_RRbar"])
 
 
 def test_cli_unwritable_output(capsys):

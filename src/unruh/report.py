@@ -11,8 +11,9 @@ class CorrelationReport:
     """All bipartite measures at one value of the acceleration parameter.
 
     Mutual informations are in bits. ``oracle_discrepancy`` is the largest
-    difference between the closed-form and constructive routes, or NaN when
-    the constructive cross-check was skipped. ``trace_deficit`` is the
+    difference between the closed-form and constructive routes (for the
+    scalar N_RRbar, a proven upper bound on it), or NaN when the
+    constructive cross-check was skipped. ``trace_deficit`` is the
     probability mass lost to Fock truncation (0 for Dirac).
     """
 

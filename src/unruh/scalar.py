@@ -24,7 +24,7 @@ from .fock import (Bipartition, DensityMatrix, FieldKind, LabeledBasis,
                    SqueezingParam, StateVector, Subsystem, partial_trace,
                    partial_transpose, reduced_density_matrix)
 from .linalg import sym_eigenvalues, tridiagonal_eigenvalues
-from .measures import (log_negativity_from_negativity,
+from .measures import (NEGATIVITY_ZERO_TOL, log_negativity_from_negativity,
                        negativity_from_pt_eigenvalues, von_neumann_entropy)
 from .report import CorrelationReport
 
@@ -202,7 +202,9 @@ def scalar_tripartite_state(r, cfg: TruncationConfig = TruncationConfig(),
     amps /= math.sqrt(2.0)
     deficit = (vac.trace_deficit + one.trace_deficit) / 2.0
     if renormalized:
-        amps /= math.sqrt(1.0 - deficit)
+        # the kept mass summed from its own terms: 1 - deficit cancels
+        # badly once the deficit nears 1
+        amps /= math.sqrt(float(np.sum(amps * amps)))
         deficit = 0.0
     return StateVector((alice,) + vac.basis, amps.ravel(), trace_deficit=deficit)
 
@@ -211,18 +213,17 @@ def scalar_tripartite_state(r, cfg: TruncationConfig = TruncationConfig(),
 # closed-form density matrices
 # ---------------------------------------------------------------------------
 
-def _closed_rho(rv: float, n_max: int, bipartition: Bipartition,
-                scale: float = 1.0) -> DensityMatrix:
+def _closed_entries(rv: float, n_max: int,
+                    bipartition: Bipartition) -> tuple[tuple, np.ndarray]:
+    """(basis, entries) of the truncated closed-form bipartite matrix."""
     t, ch = math.tanh(rv), math.cosh(rv)
-    dv, do = truncation_deficits(rv, n_max)
-    deficit = (dv + do) / 2.0
     alice = LabeledBasis.fock(Subsystem.ALICE, 1)
     rob, antirob = _bases(n_max)
     if bipartition is Bipartition.ALICE_ROB:
         d_r = rob.dim
         m = np.zeros((2 * d_r, 2 * d_r))
         for n in range(n_max + 1):
-            pref = t ** (2 * n) / (2 * ch ** 2) * scale
+            pref = t ** (2 * n) / (2 * ch ** 2)
             i0 = n            # |0, n>
             i1 = d_r + n + 1  # |1, n+1>
             m[i0, i0] += pref
@@ -235,7 +236,7 @@ def _closed_rho(rv: float, n_max: int, bipartition: Bipartition,
         d_b = antirob.dim
         m = np.zeros((2 * d_b, 2 * d_b))
         for n in range(n_max + 1):
-            pref = t ** (2 * n) / (2 * ch ** 2) * scale
+            pref = t ** (2 * n) / (2 * ch ** 2)
             m[n, n] += pref
             m[d_b + n, d_b + n] += pref * (n + 1) / ch ** 2
             if n + 1 <= n_max:
@@ -248,15 +249,20 @@ def _closed_rho(rv: float, n_max: int, bipartition: Bipartition,
         m = np.zeros((d_r * d_b, d_r * d_b))
         for n in range(n_max + 1):
             for mm in range(n_max + 1):
-                pref = t ** (n + mm) / (2 * ch ** 2) * scale
+                pref = t ** (n + mm) / (2 * ch ** 2)
                 m[n * d_b + n, mm * d_b + mm] += pref
                 m[(n + 1) * d_b + n, (mm + 1) * d_b + mm] += (
                     pref * math.sqrt(n + 1) * math.sqrt(mm + 1) / ch ** 2)
         basis = (rob, antirob)
     else:
         raise ValueError(f"unknown bipartition {bipartition}")
-    out_deficit = 1.0 - scale * (1.0 - deficit)
-    return DensityMatrix(basis, m, trace_deficit=max(out_deficit, 0.0))
+    return basis, m
+
+
+def _closed_rho(rv: float, n_max: int, bipartition: Bipartition) -> DensityMatrix:
+    dv, do = truncation_deficits(rv, n_max)
+    return DensityMatrix(*_closed_entries(rv, n_max, bipartition),
+                         trace_deficit=(dv + do) / 2.0)
 
 
 def scalar_closed_rho(r, cfg: TruncationConfig, bipartition: Bipartition) -> DensityMatrix:
@@ -308,21 +314,6 @@ def scalar_entropies(r, cfg: TruncationConfig = TruncationConfig()) -> Subsystem
     s_rbar = _series_entropy(antirob_weight, x)
     return SubsystemEntropies(S_R=s_r, S_Rbar=s_rbar, S_AR=s_rbar,
                               S_ARbar=s_r, S_RRbar=1.0, S_A=1.0)
-
-
-def antirob_entropy_from_rob(r, s_rob: float) -> float:
-    """AntiRob entropy from Rob's, using the weight shift q_n = p_{n+2}/tanh^2 r.
-
-    S_Rbar = S_R / tanh^2 r + log2(1/(2 cosh^2 r)) / sinh^2 r + log2(tanh^2 r).
-    Singular at r = 0, where the direct limit is 0.
-    """
-    rv = _r_value(r)
-    if rv == 0.0:
-        return 0.0
-    th2 = math.tanh(rv) ** 2
-    sh2 = math.sinh(rv) ** 2
-    ch2 = math.cosh(rv) ** 2
-    return s_rob / th2 + math.log2(1.0 / (2.0 * ch2)) / sh2 + math.log2(th2)
 
 
 # ---------------------------------------------------------------------------
@@ -517,49 +508,65 @@ def check_rrbar_tridiagonal(psi: StateVector) -> None:
                         f"entry {entry[idx]:.3e}")
 
 
-def _block_negativity_sum(block_eigs, d_max: int, block_tol: float) -> float:
-    """Accumulate per-block negative eigenvalues until three consecutive
-    blocks fall below block_tol; ``block_eigs(D)`` yields a spectrum."""
+def scalar_negativity_RRbar(r, cfg: TruncationConfig = TruncationConfig(),
+                            blocks: list | None = None) -> float:
+    """Rob-AntiRob negativity: direct sum of the tridiagonal PT blocks.
+
+    Strictly increasing with acceleration and unbounded; block contributions
+    decay geometrically in tanh r, so the sum stops after three consecutive
+    blocks below block_tol, a window that guards against stopping on a
+    parity dip. If ``blocks`` is a list, the (diagonal, off-diagonal,
+    spectrum) of every block summed is appended to it, block D at index
+    D - 1.
+    """
+    rv = _r_value(r)
+    if rv == 0.0:
+        return 0.0
     total = 0.0
     quiet = 0
-    for D in range(1, d_max + 1):
-        contrib = negativity_from_pt_eigenvalues(block_eigs(D))
+    for D in range(1, cfg.d_max + 1):
+        diag, off = rrbar_block_diagonals(rv, D)
+        eigs = tridiagonal_eigenvalues(diag, off)
+        if blocks is not None:
+            blocks.append((diag, off, eigs))
+        contrib = negativity_from_pt_eigenvalues(eigs)
         total += contrib
-        if contrib < block_tol:
+        if contrib < cfg.block_tol:
             quiet += 1
             if quiet >= 3:
                 return total
         else:
             quiet = 0
     raise ConvergenceError(
-        f"Rob-AntiRob block sum did not converge within d_max={d_max} blocks",
+        f"Rob-AntiRob block sum did not converge within d_max={cfg.d_max} blocks",
         partial_value=total)
 
 
-def scalar_negativity_RRbar(r, cfg: TruncationConfig = TruncationConfig()) -> float:
-    """Rob-AntiRob negativity: direct sum of the tridiagonal PT blocks.
+def rrbar_mirsky_bound(psi: StateVector, blocks) -> float:
+    """Upper bound on |closed block sum - the same sum over the blocks of psi|.
 
-    Strictly increasing with acceleration and unbounded; block contributions
-    decay geometrically in tanh r, so a window of three sub-tolerance blocks
-    guards against stopping on a parity dip.
+    ``blocks`` are the closed blocks a sum used, as recorded by
+    :func:`scalar_negativity_RRbar`; each is compared with the band of the
+    same block read from ``psi``, so no constructive block is eigensolved.
+    For blocks B and B' with eigenvalues sorted alike, Mirsky's inequality
+    gives sum |l_i(B) - l_i(B')| <= ||B - B'||_1 <= sum |d diag| +
+    2 sum |d off| (each off-diagonal pair is a rank-2 piece of trace norm
+    2 |d off|). Negativity drops eigenvalues in [-tol, 0), tol =
+    NEGATIVITY_ZERO_TOL, so a pair can differ by tol more only if it
+    straddles -tol, which puts the closed eigenvalue within the band
+    distance of -tol; each such eigenvalue adds tol. Blocks after the last
+    one recorded are not compared. Raises ``NotAStateError`` unless every
+    block of ``psi`` is tridiagonal.
     """
-    rv = _r_value(r)
-    if rv == 0.0:
-        return 0.0
-    return _block_negativity_sum(
-        lambda D: tridiagonal_eigenvalues(*rrbar_block_diagonals(rv, D)),
-        cfg.d_max, cfg.block_tol)
-
-
-def _constructive_rrbar_negativity(psi: StateVector, d_max: int,
-                                   block_tol: float) -> float:
-    """Block negativity with entries taken from the state, not the closed form."""
     check_rrbar_tridiagonal(psi)
-
-    def eigs(D):
-        diag, off = rrbar_band_constructive(psi, D)
-        return diag if D == 1 else tridiagonal_eigenvalues(diag, off)
-    return _block_negativity_sum(eigs, d_max, block_tol)
+    bound = 0.0
+    for D, (diag, off, eigs) in enumerate(blocks, start=1):
+        built_diag, built_off = rrbar_band_constructive(psi, D)
+        dist = float(np.abs(diag - built_diag).sum()
+                     + 2.0 * np.abs(off - built_off).sum())
+        straddling = np.count_nonzero(np.abs(eigs + NEGATIVITY_ZERO_TOL) <= dist)
+        bound += dist + NEGATIVITY_ZERO_TOL * straddling
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -586,15 +593,17 @@ def hardcore_rho(r, hc: HardcoreConfig, bipartition: Bipartition) -> DensityMatr
     """Closed-form bipartite matrix of the capped mode.
 
     ``truncate_only`` keeps the squeezed-state coefficients verbatim;
-    ``renormalized`` rescales by the kept mass so the trace is one.
+    ``renormalized`` rescales by the kept mass so the trace is one. The kept
+    mass is the trace of the unscaled matrix, a sum of positive terms, not
+    1 - deficit, which cancels badly once the deficit nears 1.
     """
     rv = _r_value(r)
     dv, do = truncation_deficits(rv, hc.cap)
     _require_kept_mass(rv, hc, (dv + do) / 2.0)
-    scale = 1.0
     if hc.mode == "renormalized":
-        scale = 1.0 / (1.0 - (dv + do) / 2.0)
-    return _closed_rho(rv, hc.cap, bipartition, scale=scale)
+        basis, m = _closed_entries(rv, hc.cap, bipartition)
+        return DensityMatrix(basis, m / np.trace(m))
+    return _closed_rho(rv, hc.cap, bipartition)
 
 
 # ---------------------------------------------------------------------------
@@ -609,27 +618,26 @@ def _mutual_informations_from_entropies(ent: SubsystemEntropies) -> dict:
     }
 
 
-def scalar_closed_measures(r, cfg: TruncationConfig) -> dict:
+def scalar_closed_measures(r, cfg: TruncationConfig,
+                           rrbar_blocks: list | None = None) -> dict:
+    """All six measures in closed form; ``rrbar_blocks`` as in
+    :func:`scalar_negativity_RRbar`."""
     ent = scalar_entropies(r, cfg)
     out = _mutual_informations_from_entropies(ent)
     out["N_AR"] = scalar_negativity_AR(r, cfg)
     out["N_ARbar"] = scalar_negativity_ARbar(r, cfg)
-    out["N_RRbar"] = scalar_negativity_RRbar(r, cfg)
+    out["N_RRbar"] = scalar_negativity_RRbar(r, cfg, rrbar_blocks)
     return out
 
 
 def scalar_constructive_measures(r, cfg: TruncationConfig,
                                  psi: StateVector | None = None) -> dict:
-    """All six measures from the truncated state alone (LAPACK eigensolves).
+    """Every measure but N_RRbar from the truncated state alone (LAPACK
+    eigensolves); :func:`rrbar_mirsky_bound` checks N_RRbar instead.
 
     Joint Rob-AntiRob entropies use the exact Schmidt duality of a pure
     state: the nonzero spectrum of a reduction equals that of its
     complement, so S_RRbar comes from Alice's 2x2 reduction.
-
-    The Rob-AntiRob partial-transpose blocks couple amplitudes across
-    different occupations, so their entries decay like tanh^(n+m) rather
-    than tanh^(2n); that comparison uses a state truncated at twice the
-    adaptive cutoff so the amplitude-level tail is below tail_tol too.
     """
     rv = _r_value(r)
     if psi is None:
@@ -651,25 +659,24 @@ def scalar_constructive_measures(r, cfg: TruncationConfig,
         raise NotAStateError(
             f"constructive Alice-AntiRob partial transpose has eigenvalue "
             f"{pt_arbar.min():.3e}")
-    n_max = resolve_n_max(rv, cfg)
-    deep = TruncationConfig(n_max=2 * n_max + 2, tail_tol=cfg.tail_tol,
-                            d_max=cfg.d_max, block_tol=cfg.block_tol)
-    psi_deep = scalar_tripartite_state(rv, deep)
     return {
         "I_AR": s_a + s_r - s_ar,
         "I_ARbar": s_a + s_rbar - s_arbar,
         "I_RRbar": s_r + s_rbar - s_rrbar,
         "N_AR": negativity_from_pt_eigenvalues(pt_ar),
         "N_ARbar": negativity_from_pt_eigenvalues(pt_arbar),
-        "N_RRbar": _constructive_rrbar_negativity(psi_deep, cfg.d_max, cfg.block_tol),
     }
 
 
 def _report_from_routes(rv: float, closed: dict, constructive: dict | None,
-                        deficit: float, tol: float) -> CorrelationReport:
+                        deficit: float, tol: float,
+                        bound: float = 0.0) -> CorrelationReport:
+    # ``bound``: a proven upper bound on the difference in a measure that
+    # ``constructive`` checks without a value of its own (scalar N_RRbar)
     discrepancy = float("nan")
     if constructive is not None:
-        discrepancy = max(abs(closed[k] - constructive[k]) for k in closed)
+        discrepancy = max(max(abs(closed[k] - v) for k, v in constructive.items()),
+                          bound)
         if discrepancy > tol:
             raise OracleMismatchError(
                 f"closed-form vs constructive mismatch {discrepancy:.3e} at r={rv}",
@@ -691,17 +698,30 @@ def scalar_report(r, cfg: TruncationConfig = TruncationConfig(),
 
     The reported values come from the series/block closed forms; with
     ``oracle`` enabled they are cross-checked against the truncated
-    constructive state. The allowed discrepancy is 1e-9 at the default
-    truncation and scales with a loosened tail_tol, since the dropped tail
-    shifts the constructive entropies by about tail_tol times a log factor.
+    constructive state: five measures are recomputed from it, and for
+    N_RRbar the discrepancy is the bound of :func:`rrbar_mirsky_bound` over
+    the blocks the closed sum used. Block entries decay like tanh^(n+m)
+    rather than tanh^(2n), so they are read from a state truncated at twice
+    the adaptive cutoff, which keeps their amplitude-level tail below
+    tail_tol too.
+
+    The allowed discrepancy is 1e-9 at the default truncation and scales
+    with a loosened tail_tol, since the dropped tail shifts the constructive
+    entropies by about tail_tol times a log factor.
     """
     rv = _r_value(r)
     n_max = resolve_n_max(rv, cfg)
     dv, do = truncation_deficits(rv, n_max)
-    closed = scalar_closed_measures(rv, cfg)
-    constructive = scalar_constructive_measures(rv, cfg) if oracle else None
+    blocks = [] if oracle else None
+    closed = scalar_closed_measures(rv, cfg, blocks)
+    constructive, bound = None, 0.0
+    if oracle:
+        constructive = scalar_constructive_measures(rv, cfg)
+        deep = TruncationConfig(n_max=2 * n_max + 2, tail_tol=cfg.tail_tol,
+                                d_max=cfg.d_max, block_tol=cfg.block_tol)
+        bound = rrbar_mirsky_bound(scalar_tripartite_state(rv, deep), blocks)
     tol = max(ORACLE_TOL, 100.0 * cfg.tail_tol)
-    return _report_from_routes(rv, closed, constructive, (dv + do) / 2.0, tol)
+    return _report_from_routes(rv, closed, constructive, (dv + do) / 2.0, tol, bound)
 
 
 def hardcore_closed_measures(r, hc: HardcoreConfig) -> dict:

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from unruh import scalar
-from unruh.errors import ConvergenceError, NotAStateError, TruncationError
+from unruh.errors import (ConvergenceError, NotAStateError, OracleMismatchError,
+                          TruncationError, UnruhError)
 from unruh.fock import (Bipartition, FieldKind, StateVector, Subsystem,
                         partial_transpose, reduced_density_matrix)
-from unruh.linalg import sym_eigenvalues
-from unruh.measures import negativity, von_neumann_entropy
-from unruh.scalar import (HardcoreConfig, TruncationConfig,
-                          antirob_entropy_from_rob, hardcore_report,
+from unruh.linalg import sym_eigenvalues, tridiagonal_eigenvalues
+from unruh.measures import (negativity, negativity_from_pt_eigenvalues,
+                            von_neumann_entropy)
+from unruh.scalar import (HardcoreConfig, TruncationConfig, hardcore_report,
                           hardcore_rho, hardcore_tripartite_state,
                           one_particle_tail, rapidity_scalar, resolve_n_max,
                           rob_weight, rrbar_band_constructive, rrbar_block,
                           rrbar_block_basis, rrbar_block_constructive,
-                          rrbar_block_diagonals,
+                          rrbar_block_diagonals, rrbar_mirsky_bound,
                           scalar_closed_rho, scalar_constructive_measures,
                           scalar_entropies, scalar_negativity_AR,
                           scalar_negativity_ARbar, scalar_negativity_RRbar,
@@ -207,6 +208,20 @@ def test_entropies_match_spectral():
         assert abs(ent.S_Rbar - s_b) < 1e-8
 
 
+def antirob_entropy_from_rob(r, s_rob: float) -> float:
+    """AntiRob entropy from Rob's, using the weight shift q_n = p_{n+2}/tanh^2 r.
+
+    S_Rbar = S_R / tanh^2 r + log2(1/(2 cosh^2 r)) / sinh^2 r + log2(tanh^2 r).
+    Singular at r = 0, where the direct limit is 0.
+    """
+    if r == 0.0:
+        return 0.0
+    th2 = math.tanh(r) ** 2
+    sh2 = math.sinh(r) ** 2
+    ch2 = math.cosh(r) ** 2
+    return s_rob / th2 + math.log2(1.0 / (2.0 * ch2)) / sh2 + math.log2(th2)
+
+
 def test_antirob_entropy_identity():
     for r in PROBE + (2.5,):
         ent = scalar_entropies(r, CFG)
@@ -396,20 +411,130 @@ def test_tridiagonality_check_matches_dense_blocks(eps, labels):
             scalar.check_rrbar_tridiagonal(psi)
 
 
+def _constructive_rrbar_negativity(psi, n_blocks):
+    """Reference: negativity of blocks 1..n_blocks of the state's own
+    Rob-AntiRob partial transpose, each block eigensolved."""
+    scalar.check_rrbar_tridiagonal(psi)
+    return sum(negativity_from_pt_eigenvalues(
+        tridiagonal_eigenvalues(*rrbar_band_constructive(psi, d)))
+        for d in range(1, n_blocks + 1))
+
+
+def _closed_blocks(r):
+    blocks = []
+    value = scalar_negativity_RRbar(r, CFG, blocks)
+    return value, blocks
+
+
+def _oracle_state(r):
+    # the deep cutoff the report's oracle uses
+    return scalar_tripartite_state(r, TruncationConfig(n_max=2 * resolve_n_max(r, CFG) + 2))
+
+
+def _scaled_beyond(psi, eps, n_min=3):
+    """``psi`` with its amplitudes at rob occupation >= n_min scaled by
+    1 + eps, then rescaled to the original norm so it is still a state."""
+    amps = psi.tensor().copy()
+    amps[:, n_min:, :] *= 1.0 + eps
+    amps *= math.sqrt(psi.norm2 / float(np.sum(amps * amps)))
+    return StateVector(psi.basis, amps.ravel(), trace_deficit=psi.trace_deficit)
+
+
 def test_oracle_rejects_off_band_amplitudes():
     psi = _with_stray_amplitudes(
         scalar_tripartite_state(0.6, TruncationConfig(n_max=8)), 1e-3,
         [(0, 3, 1), (0, 5, 3)])
     with pytest.raises(NotAStateError):
-        scalar._constructive_rrbar_negativity(psi, CFG.d_max, CFG.block_tol)
+        rrbar_mirsky_bound(psi, _closed_blocks(0.6)[1])
 
 
 def test_oracle_reads_bands_not_dense_blocks(monkeypatch):
     def dense(*args):
         raise AssertionError("the oracle built a dense block")
     monkeypatch.setattr(scalar, "rrbar_block_constructive", dense)
-    built = scalar_constructive_measures(1.0, CFG)["N_RRbar"]
-    assert abs(built - scalar_negativity_RRbar(1.0, CFG)) < 1e-9
+    _, blocks = _closed_blocks(1.0)
+    assert rrbar_mirsky_bound(_oracle_state(1.0), blocks) < 1e-9
+    assert scalar_report(1.0, CFG).oracle_discrepancy <= 1e-9
+
+
+def test_closed_blocks_are_recorded_in_order():
+    value, blocks = _closed_blocks(R_HALF)
+    assert value == scalar_negativity_RRbar(R_HALF, CFG)
+    for d, (diag, off, eigs) in enumerate(blocks, start=1):
+        want_diag, want_off = rrbar_block_diagonals(R_HALF, d)
+        assert diag.tobytes() == want_diag.tobytes()
+        assert off.tobytes() == want_off.tobytes()
+        assert eigs.tobytes() == tridiagonal_eigenvalues(diag, off).tobytes()
+    assert _closed_blocks(0.0) == (0.0, [])
+
+
+@pytest.mark.parametrize("r", [0.3, 0.9, 1.5])
+@pytest.mark.parametrize("eps", [1e-10, 1e-6])
+def test_mirsky_bound_covers_perturbed_blocks(r, eps):
+    closed, blocks = _closed_blocks(r)
+    psi = _scaled_beyond(_oracle_state(r), eps)
+    bound = rrbar_mirsky_bound(psi, blocks)
+    assert abs(closed - _constructive_rrbar_negativity(psi, len(blocks))) <= bound
+    # and it is not vacuous: far below the value, far above rounding
+    assert 1e-3 * eps < bound < 1e2 * eps
+
+
+def test_mirsky_bound_counts_threshold_straddling():
+    # block 2 of a state with amplitudes only on (0, 0) and (1, 1) is
+    # [[0, c], [c, 0]], eigenvalues +-c. With c just above the zero
+    # tolerance and the closed coupling just below it, the negativities
+    # differ by c ~ 1e-12 although the bands differ by 1e-13: only the
+    # per-eigenvalue tolerance term covers the jump
+    tol = scalar.NEGATIVITY_ZERO_TOL
+    s = tol + 5e-14  # c = s sqrt(1 - s^2) rounds to s
+    basis = scalar_tripartite_state(0.0, TruncationConfig(n_max=2)).basis
+    amps = np.zeros(tuple(b.dim for b in basis))
+    amps[0, 0, 0], amps[0, 1, 1] = math.sqrt(1.0 - s * s), s
+    psi = StateVector(basis, amps.ravel())
+    c = float(rrbar_band_constructive(psi, 2)[1][0])
+    assert tol < c < tol + 1e-13
+    c_closed = c - 1e-13
+    one = rrbar_band_constructive(psi, 1)[0]
+    blocks = [(one, np.zeros(0), one.copy()),
+              (np.zeros(2), np.array([c_closed]), np.array([c_closed, -c_closed]))]
+    closed = sum(negativity_from_pt_eigenvalues(e) for _, _, e in blocks)
+    built = _constructive_rrbar_negativity(psi, 2)
+    assert closed == 0.0 and built == c
+    bound = rrbar_mirsky_bound(psi, blocks)
+    assert abs(closed - built) <= bound
+    assert abs(closed - built) > 2 * 1e-13  # more than the band distance
+
+
+def test_oracle_catches_perturbed_deep_state(monkeypatch):
+    build = scalar.scalar_tripartite_state
+
+    def perturbed(r, cfg=CFG, renormalized=False):
+        psi = build(r, cfg, renormalized)
+        # only the oracle's deep state pins the cutoff
+        return psi if cfg.n_max is None else _scaled_beyond(psi, 1e-6)
+    monkeypatch.setattr(scalar, "scalar_tripartite_state", perturbed)
+    with pytest.raises(OracleMismatchError) as err:
+        scalar_report(0.9, CFG)
+    assert err.value.discrepancy > 1e-9
+
+
+def test_oracle_eigensolves_only_the_closed_blocks(monkeypatch):
+    calls = {"eig": 0, "band": 0}
+    eig, band = scalar.tridiagonal_eigenvalues, scalar.rrbar_block_diagonals
+
+    def counted_eig(*args):
+        calls["eig"] += 1
+        return eig(*args)
+
+    def counted_band(*args):
+        calls["band"] += 1
+        return band(*args)
+    monkeypatch.setattr(scalar, "tridiagonal_eigenvalues", counted_eig)
+    monkeypatch.setattr(scalar, "rrbar_block_diagonals", counted_band)
+    n_blocks = len(_closed_blocks(1.2)[1])
+    calls.update(eig=0, band=0)
+    scalar_report(1.2, CFG)
+    assert calls == {"eig": n_blocks, "band": n_blocks}
 
 
 def test_rrbar_negativity_series():
@@ -437,8 +562,15 @@ def test_rrbar_negativity_block_cap_error():
 def test_truncation_robustness():
     # doubling the cutoff moves nothing by more than 1e-8 at the range top
     n_max = resolve_n_max(1.5, CFG)
-    near = scalar_constructive_measures(1.5, TruncationConfig(n_max=n_max))
-    deep = scalar_constructive_measures(1.5, TruncationConfig(n_max=2 * n_max))
+    n_blocks = len(_closed_blocks(1.5)[1])
+    values = []
+    for cut in (n_max, 2 * n_max):
+        got = scalar_constructive_measures(1.5, TruncationConfig(n_max=cut))
+        deep = scalar_tripartite_state(1.5, TruncationConfig(n_max=2 * cut + 2))
+        got["N_RRbar"] = _constructive_rrbar_negativity(deep, n_blocks)
+        values.append(got)
+    near, deep = values
+    assert len(near) == 6
     for key in near:
         assert abs(near[key] - deep[key]) < 1e-8
 
@@ -557,3 +689,31 @@ def test_hardcore_report_oracle():
     for mode in HardcoreConfig.MODES:
         rep = hardcore_report(1.2, HardcoreConfig(cap=3, mode=mode))
         assert rep.oracle_discrepancy <= 1e-9
+
+
+@pytest.mark.parametrize("cap", [1, 2, 8, 16])
+@pytest.mark.parametrize("mode", HardcoreConfig.MODES)
+def test_hardcore_large_r_rows_finite_or_typed(cap, mode):
+    # past r ~ 8.6 the kept mass is below 1e-7, so computed as 1 - deficit
+    # it would be off by more than the 1e-9 trace tolerance
+    hc = HardcoreConfig(cap=cap, mode=mode)
+    finite = 0
+    for r in np.arange(40, 250) / 10.0:
+        for oracle in (False, True):
+            try:
+                rep = hardcore_report(r, hc, oracle=oracle)
+            except UnruhError:
+                continue
+            assert all(math.isfinite(v) for v in rep.as_row()[:-1]), (r, oracle)
+            finite += 1
+    assert finite > 0
+
+
+def test_hardcore_renormalized_past_the_old_trace_failure():
+    hc = HardcoreConfig(cap=8, mode="renormalized")
+    rep = hardcore_report(8.6, hc)
+    assert rep.trace_deficit == 0.0 and rep.oracle_discrepancy <= 1e-9
+    rho = hardcore_rho(9.5, hc, Bipartition.ROB_ANTIROB)
+    assert abs(np.trace(rho.entries) - 1.0) < 1e-14
+    psi = hardcore_tripartite_state(9.5, hc)
+    assert abs(psi.norm2 - 1.0) < 1e-14

@@ -15,9 +15,10 @@ from .fock import (Bipartition, DensityMatrix, FieldKind, LabeledBasis,
                    SqueezingParam, StateVector, Subsystem, basis_state,
                    density_from_state, partial_trace, partial_transpose,
                    reduced_density_matrix, tensor_state)
-from .linalg import jacobi_eigenvalues, sym_eigenvalues
-from .measures import (entropy_from_eigenvalues, log_negativity,
-                       mutual_information, negativity, von_neumann_entropy)
+from .linalg import sym_eigenvalues
+from .measures import (bipartite_measures, entropy_from_eigenvalues,
+                       log_negativity, mutual_information, negativity,
+                       von_neumann_entropy)
 from .report import CorrelationReport
 from .dirac import (dirac_closed_negativity, dirac_closed_pt_spectrum,
                     dirac_closed_rho, dirac_closed_spectrum,

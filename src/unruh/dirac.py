@@ -18,12 +18,10 @@ import math
 
 import numpy as np
 
-from .errors import OracleMismatchError
 from .fock import (Bipartition, DensityMatrix, FieldKind, LabeledBasis,
-                   SqueezingParam, StateVector, Subsystem, density_from_state,
-                   partial_trace)
-from .measures import (log_negativity_from_negativity, mutual_information,
-                       negativity)
+                   SqueezingParam, StateVector, Subsystem, _r_value,
+                   reduced_density_matrix)
+from .measures import bipartite_measures
 from .report import CorrelationReport
 
 ORACLE_TOL = 1e-10
@@ -109,14 +107,6 @@ def rapidity_dirac(q: float) -> SqueezingParam:
     return SqueezingParam(FieldKind.DIRAC, math.atan(q))
 
 
-def _r_value(r) -> float:
-    if isinstance(r, SqueezingParam):
-        if r.field_kind is not FieldKind.DIRAC:
-            raise ValueError(f"expected a Dirac squeezing parameter, got {r.field_kind}")
-        return r.r
-    return SqueezingParam(FieldKind.DIRAC, float(r)).r
-
-
 def _vacuum_amplitude_map(r: float) -> dict:
     c, s = math.cos(r), math.sin(r)
     return {
@@ -133,7 +123,8 @@ def dirac_vacuum(r) -> StateVector:
     A four-term superposition over Rob x AntiRob: cos^2 r on (vac, vac),
     sin r cos r on (up, down) and (down, up), sin^2 r on (pair, pair).
     """
-    return _state_from_amplitude_map(_vacuum_amplitude_map(_r_value(r)))
+    rv = _r_value(r, FieldKind.DIRAC)
+    return _state_from_amplitude_map(_vacuum_amplitude_map(rv))
 
 
 def dirac_one_particle(r, spin: str) -> StateVector:
@@ -147,7 +138,7 @@ def dirac_one_particle(r, spin: str) -> StateVector:
     """
     if spin not in SPINS:
         raise ValueError(f"spin must be one of {SPINS}, got {spin!r}")
-    rv = _r_value(r)
+    rv = _r_value(r, FieldKind.DIRAC)
     vac = _vacuum_amplitude_map(rv)
     created = apply_creation(vac, ("I", spin))
     annihilated = apply_annihilation(vac, ("IV", _FLIP[spin]))
@@ -169,7 +160,7 @@ def dirac_tripartite_state(r, alice_spin: str = "up") -> StateVector:
     """
     if alice_spin not in SPINS:
         raise ValueError(f"alice_spin must be one of {SPINS}, got {alice_spin!r}")
-    rv = _r_value(r)
+    rv = _r_value(r, FieldKind.DIRAC)
     alice = LabeledBasis.qubit(Subsystem.ALICE, ("vac", alice_spin))
     vac = dirac_vacuum(rv)
     one = dirac_one_particle(rv, _FLIP[alice_spin])
@@ -199,7 +190,7 @@ def _assemble(basis, entries) -> DensityMatrix:
 
 def dirac_closed_rho(r, bipartition: Bipartition) -> DensityMatrix:
     """Closed-form bipartite density matrix in the canonical basis."""
-    rv = _r_value(r)
+    rv = _r_value(r, FieldKind.DIRAC)
     c, s = math.cos(rv), math.sin(rv)
     alice = LabeledBasis.qubit(Subsystem.ALICE, ("vac", "up"))
     rob = LabeledBasis.dirac(Subsystem.ROB)
@@ -255,7 +246,7 @@ def dirac_closed_rho(r, bipartition: Bipartition) -> DensityMatrix:
 def dirac_closed_spectrum(r, bipartition: Bipartition) -> np.ndarray:
     """Eigenvalues of the closed-form bipartite matrix, zero-padded to full
     dimension and sorted descending."""
-    rv = _r_value(r)
+    rv = _r_value(r, FieldKind.DIRAC)
     c2, s2 = math.cos(rv) ** 2, math.sin(rv) ** 2
     if bipartition is Bipartition.ALICE_ROB:
         vals = [s2 * c2 / 2, s2 * s2 / 2, c2 * (1 + c2) / 2, s2 * (1 + c2) / 2]
@@ -276,7 +267,7 @@ def dirac_closed_spectrum(r, bipartition: Bipartition) -> np.ndarray:
 def dirac_closed_pt_spectrum(r, bipartition: Bipartition) -> np.ndarray:
     """Eigenvalues of the partial transpose of the closed-form matrix,
     sorted descending."""
-    rv = _r_value(r)
+    rv = _r_value(r, FieldKind.DIRAC)
     c, s = math.cos(rv), math.sin(rv)
     c2, s2 = c * c, s * s
     if bipartition is Bipartition.ALICE_ROB:
@@ -312,7 +303,7 @@ def dirac_closed_negativity(r, bipartition: Bipartition) -> float:
     spectrum, sin(2r)/4 + [(1 + sin 2r) sqrt(1 + sin^2 2r) - 1]/4, which
     grows to sqrt(2)/2 at infinite acceleration.
     """
-    rv = _r_value(r)
+    rv = _r_value(r, FieldKind.DIRAC)
     if bipartition is Bipartition.ALICE_ROB:
         return math.cos(rv) ** 2 / 2
     if bipartition is Bipartition.ALICE_ANTIROB:
@@ -333,7 +324,7 @@ def dirac_closed_entropies(r) -> dict:
     For the pure tripartite state the complementary pairs coincide:
     S_AR = S_Rbar, S_ARbar = S_R, S_RRbar = S_A = 1.
     """
-    rv = _r_value(r)
+    rv = _r_value(r, FieldKind.DIRAC)
     c2, s2 = math.cos(rv) ** 2, math.sin(rv) ** 2
     s_rob = 1.0 - _xlog2(s2) - 1.5 * _xlog2(c2) - 0.5 * _xlog2(1 + s2)
     s_antirob = 1.0 - _xlog2(c2) - 1.5 * _xlog2(s2) - 0.5 * _xlog2(1 + c2)
@@ -361,26 +352,15 @@ def dirac_closed_mutual_informations(r) -> dict:
 # dual-route report
 # ---------------------------------------------------------------------------
 
-def dirac_constructive_measures(r, alice_spin: str = "up") -> dict:
+def dirac_constructive_measures(r) -> dict:
     """All six measures from the tripartite state alone.
 
-    Builds the state, forms the projector, partial-traces every bipartition
-    and eigensolves; no closed forms enter anywhere.
+    Builds the state, reduces it to every bipartition and eigensolves; no
+    closed forms enter anywhere.
     """
-    psi = dirac_tripartite_state(r, alice_spin=alice_spin)
-    rho = density_from_state(psi)
-    a, ro, ab = Subsystem.ALICE, Subsystem.ROB, Subsystem.ANTIROB
-    rho_ar = partial_trace(rho, (a, ro))
-    rho_arbar = partial_trace(rho, (a, ab))
-    rho_rrbar = partial_trace(rho, (ro, ab))
-    return {
-        "I_AR": mutual_information(rho_ar),
-        "I_ARbar": mutual_information(rho_arbar),
-        "I_RRbar": mutual_information(rho_rrbar),
-        "N_AR": negativity(rho_ar, ro),
-        "N_ARbar": negativity(rho_arbar, ab),
-        "N_RRbar": negativity(rho_rrbar, ab),
-    }
+    psi = dirac_tripartite_state(r)
+    return bipartite_measures({bip: reduced_density_matrix(psi, bip.kept)
+                               for bip in Bipartition})
 
 
 def dirac_closed_measures(r) -> dict:
@@ -395,28 +375,14 @@ def dirac_closed_measures(r) -> dict:
     }
 
 
-def dirac_report(r, oracle: bool = True, alice_spin: str = "up") -> CorrelationReport:
+def dirac_report(r, oracle: bool = True) -> CorrelationReport:
     """Correlation report at one acceleration, computed along two routes.
 
     With ``oracle`` enabled the closed forms are compared against the
     constructive state-built route; a discrepancy above 1e-10 raises
     ``OracleMismatchError`` since it can only mean an implementation bug.
     """
-    rv = _r_value(r)
-    closed = dirac_closed_measures(rv)
-    discrepancy = float("nan")
-    if oracle:
-        constructive = dirac_constructive_measures(rv, alice_spin=alice_spin)
-        discrepancy = max(abs(closed[k] - constructive[k]) for k in closed)
-        if discrepancy > ORACLE_TOL:
-            raise OracleMismatchError(
-                f"closed-form vs constructive mismatch {discrepancy:.3e} at r={rv}",
-                discrepancy=discrepancy)
-    return CorrelationReport(
-        r=rv,
-        I_AR=closed["I_AR"], I_ARbar=closed["I_ARbar"], I_RRbar=closed["I_RRbar"],
-        N_AR=closed["N_AR"], N_ARbar=closed["N_ARbar"], N_RRbar=closed["N_RRbar"],
-        logN_RRbar=log_negativity_from_negativity(closed["N_RRbar"]),
-        trace_deficit=0.0,
-        oracle_discrepancy=discrepancy,
-    )
+    rv = _r_value(r, FieldKind.DIRAC)
+    constructive = dirac_constructive_measures(rv) if oracle else None
+    return CorrelationReport.from_routes(rv, dirac_closed_measures(rv), constructive,
+                                         deficit=0.0, tol=ORACLE_TOL)

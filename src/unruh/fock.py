@@ -75,6 +75,17 @@ class SqueezingParam:
                 f"Dirac squeezing parameter must lie in [0, pi/4], got {self.r}")
 
 
+def _r_value(r, field_kind: FieldKind) -> float:
+    """r as a float, from a number or a :class:`SqueezingParam`, validated
+    for ``field_kind``; scalar and hardcore parameters are interchangeable."""
+    if isinstance(r, SqueezingParam):
+        if (r.field_kind is FieldKind.DIRAC) != (field_kind is FieldKind.DIRAC):
+            raise ValueError(
+                f"expected a {field_kind.value} squeezing parameter, got {r.field_kind}")
+        return r.r
+    return SqueezingParam(field_kind, float(r)).r
+
+
 @dataclass(frozen=True)
 class LabeledBasis:
     """Ordered basis labels for one subsystem.

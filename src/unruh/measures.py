@@ -3,7 +3,12 @@
 Entropies and mutual information are reported in bits (base-2 logs, with
 0 log 0 = 0). Negativity sums the negative half of the partial-transpose
 spectrum; eigenvalues within 1e-12 of zero count as zero, since closed
-forms produce exact zeros that floating point perturbs.
+forms produce exact zeros that floating point perturbs. Every dense
+spectrum comes from LAPACK (:func:`unruh.linalg.sym_eigenvalues`).
+
+:func:`bipartite_measures` turns the three bipartite density matrices of an
+Alice/Rob/AntiRob state into the six reported measures; every field and
+route that has those matrices goes through it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ import math
 import numpy as np
 
 from .errors import NotAStateError
-from .fock import DensityMatrix, Subsystem, partial_trace, partial_transpose
+from .fock import (Bipartition, DensityMatrix, Subsystem, partial_trace,
+                   partial_transpose)
 from .linalg import sym_eigenvalues
 
 NEGATIVITY_ZERO_TOL = 1e-12
@@ -36,19 +42,19 @@ def entropy_from_eigenvalues(eigenvalues, neg_tol: float = _PSD_TOL) -> float:
     return float(-(e * np.log2(e)).sum())
 
 
-def von_neumann_entropy(rho: DensityMatrix, method: str = "auto") -> float:
+def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Von Neumann entropy of a density matrix, in bits."""
-    return entropy_from_eigenvalues(sym_eigenvalues(rho.entries, method=method))
+    return entropy_from_eigenvalues(sym_eigenvalues(rho.entries))
 
 
-def mutual_information(rho_ab: DensityMatrix, method: str = "auto") -> float:
+def mutual_information(rho_ab: DensityMatrix) -> float:
     """Total correlations S_A + S_B - S_AB of a bipartite state, in bits."""
     if len(rho_ab.basis) != 2:
         raise ValueError("mutual information needs a bipartite state")
     sub_a, sub_b = rho_ab.subsystems
-    s_a = von_neumann_entropy(partial_trace(rho_ab, (sub_a,)), method=method)
-    s_b = von_neumann_entropy(partial_trace(rho_ab, (sub_b,)), method=method)
-    s_ab = von_neumann_entropy(rho_ab, method=method)
+    s_a = von_neumann_entropy(partial_trace(rho_ab, (sub_a,)))
+    s_b = von_neumann_entropy(partial_trace(rho_ab, (sub_b,)))
+    s_ab = von_neumann_entropy(rho_ab)
     value = s_a + s_b - s_ab
     return 0.0 if -1e-12 < value < 0.0 else value
 
@@ -60,11 +66,10 @@ def negativity_from_pt_eigenvalues(eigenvalues) -> float:
     return float(-neg.sum()) if neg.size else 0.0
 
 
-def negativity(rho_ab: DensityMatrix, transposed: Subsystem,
-               method: str = "auto") -> float:
+def negativity(rho_ab: DensityMatrix, transposed: Subsystem) -> float:
     """Entanglement negativity of a bipartite state."""
     eta = partial_transpose(rho_ab, transposed)
-    return negativity_from_pt_eigenvalues(sym_eigenvalues(eta.entries, method=method))
+    return negativity_from_pt_eigenvalues(sym_eigenvalues(eta.entries))
 
 
 def log_negativity_from_negativity(neg: float) -> float:
@@ -74,6 +79,29 @@ def log_negativity_from_negativity(neg: float) -> float:
     return math.log2(1.0 + 2.0 * neg)
 
 
-def log_negativity(rho_ab: DensityMatrix, transposed: Subsystem,
-                   method: str = "auto") -> float:
-    return log_negativity_from_negativity(negativity(rho_ab, transposed, method=method))
+def log_negativity(rho_ab: DensityMatrix, transposed: Subsystem) -> float:
+    return log_negativity_from_negativity(negativity(rho_ab, transposed))
+
+
+def bipartite_measures(rho: dict[Bipartition, DensityMatrix]) -> dict:
+    """The three mutual informations and three negativities of a tripartite
+    state, from its three bipartite density matrices.
+
+    Alice's entropy comes from the Alice-Rob matrix, Rob's and AntiRob's
+    from the Rob-AntiRob one; each negativity transposes the second party.
+    """
+    ar = rho[Bipartition.ALICE_ROB]
+    arbar = rho[Bipartition.ALICE_ANTIROB]
+    rrbar = rho[Bipartition.ROB_ANTIROB]
+    a, ro, ab = Subsystem.ALICE, Subsystem.ROB, Subsystem.ANTIROB
+    s_a = von_neumann_entropy(partial_trace(ar, (a,)))
+    s_r = von_neumann_entropy(partial_trace(rrbar, (ro,)))
+    s_rbar = von_neumann_entropy(partial_trace(rrbar, (ab,)))
+    return {
+        "I_AR": s_a + s_r - von_neumann_entropy(ar),
+        "I_ARbar": s_a + s_rbar - von_neumann_entropy(arbar),
+        "I_RRbar": s_r + s_rbar - von_neumann_entropy(rrbar),
+        "N_AR": negativity(ar, ro),
+        "N_ARbar": negativity(arbar, ab),
+        "N_RRbar": negativity(rrbar, ab),
+    }

@@ -5,6 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .errors import OracleMismatchError
+from .measures import log_negativity_from_negativity
+
 
 @dataclass(frozen=True)
 class CorrelationReport:
@@ -43,6 +46,28 @@ class CorrelationReport:
                     raise ValueError(f"{name} must be >= 0, got {v}")
         if not math.isfinite(self.trace_deficit) or self.trace_deficit < 0.0:
             raise ValueError(f"trace_deficit must be >= 0, got {self.trace_deficit}")
+
+    @classmethod
+    def from_routes(cls, r: float, closed: dict, constructive: dict | None,
+                    deficit: float, tol: float, bound: float = 0.0) -> "CorrelationReport":
+        """Report the ``closed`` measures, checked against ``constructive``.
+
+        ``constructive`` (None when the check is skipped) may omit a measure
+        that it checks through ``bound`` instead, a proven upper bound on
+        that measure's difference (scalar N_RRbar). A discrepancy above
+        ``tol`` raises ``OracleMismatchError``.
+        """
+        discrepancy = float("nan")
+        if constructive is not None:
+            discrepancy = max(max(abs(closed[k] - v) for k, v in constructive.items()),
+                              bound)
+            if discrepancy > tol:
+                raise OracleMismatchError(
+                    f"closed-form vs constructive mismatch {discrepancy:.3e} at r={r}",
+                    discrepancy=discrepancy)
+        return cls(r=r, **closed,
+                   logN_RRbar=log_negativity_from_negativity(closed["N_RRbar"]),
+                   trace_deficit=deficit, oracle_discrepancy=discrepancy)
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:

@@ -14,17 +14,17 @@ occupation cap instead of adapted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, NotAStateError, OracleMismatchError, TruncationError
+from .errors import ConvergenceError, NotAStateError, TruncationError
 from .fock import (Bipartition, DensityMatrix, FieldKind, LabeledBasis,
-                   SqueezingParam, StateVector, Subsystem, partial_trace,
+                   SqueezingParam, StateVector, Subsystem, _r_value,
                    partial_transpose, reduced_density_matrix)
 from .linalg import sym_eigenvalues, tridiagonal_eigenvalues
-from .measures import (NEGATIVITY_ZERO_TOL, log_negativity_from_negativity,
+from .measures import (NEGATIVITY_ZERO_TOL, bipartite_measures,
                        negativity_from_pt_eigenvalues, von_neumann_entropy)
 from .report import CorrelationReport
 
@@ -33,6 +33,10 @@ _PT_PSD_ERROR_TOL = 1e-10
 _TRIDIAGONAL_TOL = 1e-14
 _SERIES_FLOOR = 1e-22
 _SERIES_CAP = 1_000_000
+# bound on adaptive cutoff growth
+N_MAX_CAP = 4096
+# largest order of a dense Rob-AntiRob matrix, (n_max + 2)(n_max + 1): 128 MB
+DENSE_ORDER_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -42,14 +46,13 @@ class TruncationConfig:
     ``n_max`` is the cutoff of the squeezed-mode sums (Rob occupations then
     reach n_max + 1 through the one-particle component); ``None`` adapts it
     to ``tail_tol``. ``d_max``/``block_tol`` govern the Rob-AntiRob
-    block-sum negativity. ``n_cap`` bounds adaptive growth.
+    block-sum negativity. Adaptive growth stops at ``N_MAX_CAP``.
     """
 
     n_max: int | None = None
     tail_tol: float = 1e-12
     d_max: int = 400
     block_tol: float = 1e-14
-    n_cap: int = 4096
 
     def __post_init__(self):
         if self.n_max is not None and self.n_max < 1:
@@ -69,7 +72,9 @@ class HardcoreConfig:
     ``truncate_only`` keeps the raw truncated coefficients (trace < 1, the
     loss recorded as trace_deficit); ``renormalized`` rescales the pure
     state to unit norm first. Block positivity, hence the vanishing
-    Alice-AntiRob negativity, is invariant under that rescaling.
+    Alice-AntiRob negativity, is invariant under that rescaling. The dense
+    Rob-AntiRob matrix has order (cap + 2)(cap + 1), at most
+    ``DENSE_ORDER_MAX``, so the cap is at most 62.
     """
 
     cap: int
@@ -80,6 +85,10 @@ class HardcoreConfig:
     def __post_init__(self):
         if self.cap < 1:
             raise ValueError(f"cap must be >= 1, got {self.cap}")
+        if (self.cap + 2) * (self.cap + 1) > DENSE_ORDER_MAX:
+            raise ValueError(
+                f"cap must be <= 62, got {self.cap}: the dense Rob-AntiRob matrix "
+                f"would have order {(self.cap + 2) * (self.cap + 1)} > {DENSE_ORDER_MAX}")
         if self.mode not in self.MODES:
             raise ValueError(f"mode must be one of {self.MODES}, got {self.mode!r}")
 
@@ -104,17 +113,6 @@ def rapidity_scalar(q: float) -> SqueezingParam:
     return SqueezingParam(FieldKind.SCALAR, math.atanh(q))
 
 
-def _r_value(r) -> float:
-    if isinstance(r, SqueezingParam):
-        if r.field_kind is FieldKind.DIRAC:
-            raise ValueError("expected a scalar/hardcore squeezing parameter")
-        return r.r
-    rv = float(r)
-    if not math.isfinite(rv) or rv < 0:
-        raise ValueError(f"squeezing parameter must be finite and >= 0, got {r}")
-    return rv
-
-
 # ---------------------------------------------------------------------------
 # truncation
 # ---------------------------------------------------------------------------
@@ -133,20 +131,21 @@ def resolve_n_max(r, cfg: TruncationConfig) -> int:
     """Cutoff honouring both state tails, grown adaptively unless pinned."""
     if cfg.n_max is not None:
         return cfg.n_max
-    x = math.tanh(_r_value(r)) ** 2
+    rv = _r_value(r, FieldKind.SCALAR)
+    x = math.tanh(rv) ** 2
     n = 1
     while max(vacuum_tail(x, n), one_particle_tail(x, n)) > cfg.tail_tol:
         n += 1
-        if n > cfg.n_cap:
+        if n > N_MAX_CAP:
             raise TruncationError(
-                f"n_max adaptation exceeded the hard cap {cfg.n_cap} at r={_r_value(r)}; "
+                f"n_max adaptation exceeded the hard cap {N_MAX_CAP} at r={rv}; "
                 f"loosen tail_tol or set n_max explicitly")
     return n
 
 
 def truncation_deficits(r, n_max: int) -> tuple[float, float]:
     """(vacuum, one-particle) tail masses at a given cutoff."""
-    x = math.tanh(_r_value(r)) ** 2
+    x = math.tanh(_r_value(r, FieldKind.SCALAR)) ** 2
     return vacuum_tail(x, n_max), one_particle_tail(x, n_max)
 
 
@@ -162,7 +161,7 @@ def _bases(n_max: int) -> tuple[LabeledBasis, LabeledBasis]:
 
 def scalar_vacuum(r, cfg: TruncationConfig = TruncationConfig()) -> StateVector:
     """Accelerated-frame vacuum: amplitude tanh^n r / cosh r on (n, n)."""
-    rv = _r_value(r)
+    rv = _r_value(r, FieldKind.SCALAR)
     n_max = resolve_n_max(rv, cfg)
     rob, antirob = _bases(n_max)
     t, ch = math.tanh(rv), math.cosh(rv)
@@ -175,7 +174,7 @@ def scalar_vacuum(r, cfg: TruncationConfig = TruncationConfig()) -> StateVector:
 
 def scalar_one_particle(r, cfg: TruncationConfig = TruncationConfig()) -> StateVector:
     """Minkowski one-particle state: tanh^n r sqrt(n+1)/cosh^2 r on (n+1, n)."""
-    rv = _r_value(r)
+    rv = _r_value(r, FieldKind.SCALAR)
     n_max = resolve_n_max(rv, cfg)
     rob, antirob = _bases(n_max)
     t, ch = math.tanh(rv), math.cosh(rv)
@@ -189,10 +188,9 @@ def scalar_one_particle(r, cfg: TruncationConfig = TruncationConfig()) -> StateV
 def scalar_tripartite_state(r, cfg: TruncationConfig = TruncationConfig(),
                             renormalized: bool = False) -> StateVector:
     """(|0>_A |vacuum> + |1>_A |one particle>)/sqrt(2) over Alice x Rob x AntiRob."""
-    rv = _r_value(r)
+    rv = _r_value(r, FieldKind.SCALAR)
     n_max = resolve_n_max(rv, cfg)
-    pinned = TruncationConfig(n_max=n_max, tail_tol=cfg.tail_tol,
-                              d_max=cfg.d_max, block_tol=cfg.block_tol)
+    pinned = replace(cfg, n_max=n_max)
     vac = scalar_vacuum(rv, pinned)
     one = scalar_one_particle(rv, pinned)
     alice = LabeledBasis.fock(Subsystem.ALICE, 1)
@@ -246,6 +244,10 @@ def _closed_entries(rv: float, n_max: int,
         basis = (alice, antirob)
     elif bipartition is Bipartition.ROB_ANTIROB:
         d_r, d_b = rob.dim, antirob.dim
+        if d_r * d_b > DENSE_ORDER_MAX:
+            raise TruncationError(
+                f"the Rob-AntiRob matrix at cutoff {n_max} (r={rv}) has order "
+                f"{d_r * d_b} > {DENSE_ORDER_MAX}")
         m = np.zeros((d_r * d_b, d_r * d_b))
         for n in range(n_max + 1):
             for mm in range(n_max + 1):
@@ -267,7 +269,7 @@ def _closed_rho(rv: float, n_max: int, bipartition: Bipartition) -> DensityMatri
 
 def scalar_closed_rho(r, cfg: TruncationConfig, bipartition: Bipartition) -> DensityMatrix:
     """Closed-form bipartite density matrix, truncated, deficit recorded."""
-    rv = _r_value(r)
+    rv = _r_value(r, FieldKind.SCALAR)
     return _closed_rho(rv, resolve_n_max(rv, cfg), bipartition)
 
 
@@ -309,7 +311,7 @@ def scalar_entropies(r, cfg: TruncationConfig = TruncationConfig()) -> Subsystem
     For the pure tripartite state the joint entropies collapse onto the
     single-party ones: S_AR = S_Rbar, S_ARbar = S_R, S_RRbar = S_A = 1.
     """
-    x = math.tanh(_r_value(r)) ** 2
+    x = math.tanh(_r_value(r, FieldKind.SCALAR)) ** 2
     s_r = _series_entropy(rob_weight, x)
     s_rbar = _series_entropy(antirob_weight, x)
     return SubsystemEntropies(S_R=s_r, S_Rbar=s_rbar, S_AR=s_rbar,
@@ -328,7 +330,7 @@ def scalar_negativity_AR(r, cfg: TruncationConfig = TruncationConfig()) -> float
     bound drop below tail_tol. Starts at 1/2 in the inertial limit and
     decays to zero with acceleration.
     """
-    rv = _r_value(r)
+    rv = _r_value(r, FieldKind.SCALAR)
     if rv == 0.0:
         return 0.5
     t, ch, sh = math.tanh(rv), math.cosh(rv), math.sinh(rv)
@@ -356,7 +358,7 @@ def scalar_negativity_ARbar(r, cfg: TruncationConfig = TruncationConfig()) -> fl
     computed spectrum must stay above -1e-10 (an eigenvalue below that is
     an implementation bug and raises).
     """
-    rv = _r_value(r)
+    rv = _r_value(r, FieldKind.SCALAR)
     n_max = resolve_n_max(rv, cfg)
     t, ch = math.tanh(rv), math.cosh(rv)
     for n in range(n_max + 1):
@@ -366,7 +368,7 @@ def scalar_negativity_ARbar(r, cfg: TruncationConfig = TruncationConfig()) -> fl
             raise NotAStateError(f"partial-transpose block {n} has negative determinant")
     rho = _closed_rho(rv, n_max, Bipartition.ALICE_ANTIROB)
     eta = partial_transpose(rho, Subsystem.ANTIROB)
-    eigs = sym_eigenvalues(eta.entries, method="lapack")
+    eigs = sym_eigenvalues(eta.entries)
     if float(eigs.min()) < -_PT_PSD_ERROR_TOL:
         raise NotAStateError(
             f"Alice-AntiRob partial transpose has eigenvalue {eigs.min():.3e} "
@@ -398,7 +400,7 @@ def rrbar_block_diagonals(r, D: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if D < 1:
         raise ValueError(f"block dimension must be >= 1, got {D}")
-    rv = _r_value(r)
+    rv = _r_value(r, FieldKind.SCALAR)
     t, ch = math.tanh(rv), math.cosh(rv)
     a = np.empty(D)  # a[ell - 1] is the coupling at position ell
     a[0::2] = t ** (D - 1) / (2 * ch ** 2)
@@ -519,7 +521,7 @@ def scalar_negativity_RRbar(r, cfg: TruncationConfig = TruncationConfig(),
     spectrum) of every block summed is appended to it, block D at index
     D - 1.
     """
-    rv = _r_value(r)
+    rv = _r_value(r, FieldKind.SCALAR)
     if rv == 0.0:
         return 0.0
     total = 0.0
@@ -575,7 +577,7 @@ def rrbar_mirsky_bound(psi: StateVector, blocks) -> float:
 
 def hardcore_tripartite_state(r, hc: HardcoreConfig) -> StateVector:
     """Capped-occupation tripartite state; cutoff pinned at the cap."""
-    rv = _r_value(r)
+    rv = _r_value(r, FieldKind.SCALAR)
     _require_kept_mass(rv, hc, *truncation_deficits(rv, hc.cap))
     cfg = TruncationConfig(n_max=hc.cap)
     return scalar_tripartite_state(rv, cfg, renormalized=hc.mode == "renormalized")
@@ -597,7 +599,7 @@ def hardcore_rho(r, hc: HardcoreConfig, bipartition: Bipartition) -> DensityMatr
     mass is the trace of the unscaled matrix, a sum of positive terms, not
     1 - deficit, which cancels badly once the deficit nears 1.
     """
-    rv = _r_value(r)
+    rv = _r_value(r, FieldKind.SCALAR)
     dv, do = truncation_deficits(rv, hc.cap)
     _require_kept_mass(rv, hc, (dv + do) / 2.0)
     if hc.mode == "renormalized":
@@ -639,22 +641,22 @@ def scalar_constructive_measures(r, cfg: TruncationConfig,
     state: the nonzero spectrum of a reduction equals that of its
     complement, so S_RRbar comes from Alice's 2x2 reduction.
     """
-    rv = _r_value(r)
+    rv = _r_value(r, FieldKind.SCALAR)
     if psi is None:
         psi = scalar_tripartite_state(rv, cfg)
     a, ro, ab = Subsystem.ALICE, Subsystem.ROB, Subsystem.ANTIROB
     rho_ar = reduced_density_matrix(psi, (a, ro))
     rho_arbar = reduced_density_matrix(psi, (a, ab))
-    s_ar = von_neumann_entropy(rho_ar, method="lapack")
-    s_arbar = von_neumann_entropy(rho_arbar, method="lapack")
-    s_a = von_neumann_entropy(reduced_density_matrix(psi, (a,)), method="lapack")
-    s_r = von_neumann_entropy(reduced_density_matrix(psi, (ro,)), method="lapack")
-    s_rbar = von_neumann_entropy(reduced_density_matrix(psi, (ab,)), method="lapack")
+    s_ar = von_neumann_entropy(rho_ar)
+    s_arbar = von_neumann_entropy(rho_arbar)
+    s_a = von_neumann_entropy(reduced_density_matrix(psi, (a,)))
+    s_r = von_neumann_entropy(reduced_density_matrix(psi, (ro,)))
+    s_rbar = von_neumann_entropy(reduced_density_matrix(psi, (ab,)))
     s_rrbar = s_a
     eta_ar = partial_transpose(rho_ar, ro)
     eta_arbar = partial_transpose(rho_arbar, ab)
-    pt_ar = sym_eigenvalues(eta_ar.entries, method="lapack")
-    pt_arbar = sym_eigenvalues(eta_arbar.entries, method="lapack")
+    pt_ar = sym_eigenvalues(eta_ar.entries)
+    pt_arbar = sym_eigenvalues(eta_arbar.entries)
     if float(pt_arbar.min()) < -_PT_PSD_ERROR_TOL:
         raise NotAStateError(
             f"constructive Alice-AntiRob partial transpose has eigenvalue "
@@ -666,30 +668,6 @@ def scalar_constructive_measures(r, cfg: TruncationConfig,
         "N_AR": negativity_from_pt_eigenvalues(pt_ar),
         "N_ARbar": negativity_from_pt_eigenvalues(pt_arbar),
     }
-
-
-def _report_from_routes(rv: float, closed: dict, constructive: dict | None,
-                        deficit: float, tol: float,
-                        bound: float = 0.0) -> CorrelationReport:
-    # ``bound``: a proven upper bound on the difference in a measure that
-    # ``constructive`` checks without a value of its own (scalar N_RRbar)
-    discrepancy = float("nan")
-    if constructive is not None:
-        discrepancy = max(max(abs(closed[k] - v) for k, v in constructive.items()),
-                          bound)
-        if discrepancy > tol:
-            raise OracleMismatchError(
-                f"closed-form vs constructive mismatch {discrepancy:.3e} at r={rv}",
-                discrepancy=discrepancy)
-    n_rrbar = closed["N_RRbar"]
-    return CorrelationReport(
-        r=rv,
-        I_AR=closed["I_AR"], I_ARbar=closed["I_ARbar"], I_RRbar=closed["I_RRbar"],
-        N_AR=closed["N_AR"], N_ARbar=closed["N_ARbar"], N_RRbar=n_rrbar,
-        logN_RRbar=log_negativity_from_negativity(n_rrbar),
-        trace_deficit=deficit,
-        oracle_discrepancy=discrepancy,
-    )
 
 
 def scalar_report(r, cfg: TruncationConfig = TruncationConfig(),
@@ -709,7 +687,7 @@ def scalar_report(r, cfg: TruncationConfig = TruncationConfig(),
     with a loosened tail_tol, since the dropped tail shifts the constructive
     entropies by about tail_tol times a log factor.
     """
-    rv = _r_value(r)
+    rv = _r_value(r, FieldKind.SCALAR)
     n_max = resolve_n_max(rv, cfg)
     dv, do = truncation_deficits(rv, n_max)
     blocks = [] if oracle else None
@@ -717,72 +695,24 @@ def scalar_report(r, cfg: TruncationConfig = TruncationConfig(),
     constructive, bound = None, 0.0
     if oracle:
         constructive = scalar_constructive_measures(rv, cfg)
-        deep = TruncationConfig(n_max=2 * n_max + 2, tail_tol=cfg.tail_tol,
-                                d_max=cfg.d_max, block_tol=cfg.block_tol)
+        deep = replace(cfg, n_max=2 * n_max + 2)
         bound = rrbar_mirsky_bound(scalar_tripartite_state(rv, deep), blocks)
     tol = max(ORACLE_TOL, 100.0 * cfg.tail_tol)
-    return _report_from_routes(rv, closed, constructive, (dv + do) / 2.0, tol, bound)
-
-
-def hardcore_closed_measures(r, hc: HardcoreConfig) -> dict:
-    """Measures from the coefficient-transcribed capped matrices."""
-    rv = _r_value(r)
-    rho = {bip: hardcore_rho(rv, hc, bip) for bip in Bipartition}
-    a, ro, ab = Subsystem.ALICE, Subsystem.ROB, Subsystem.ANTIROB
-    singles = {
-        a: von_neumann_entropy(partial_trace(rho[Bipartition.ALICE_ROB], (a,)),
-                               method="lapack"),
-        ro: von_neumann_entropy(partial_trace(rho[Bipartition.ROB_ANTIROB], (ro,)),
-                                method="lapack"),
-        ab: von_neumann_entropy(partial_trace(rho[Bipartition.ROB_ANTIROB], (ab,)),
-                                method="lapack"),
-    }
-    ent = {bip: von_neumann_entropy(m, method="lapack") for bip, m in rho.items()}
-    out = {
-        "I_AR": singles[a] + singles[ro] - ent[Bipartition.ALICE_ROB],
-        "I_ARbar": singles[a] + singles[ab] - ent[Bipartition.ALICE_ANTIROB],
-        "I_RRbar": singles[ro] + singles[ab] - ent[Bipartition.ROB_ANTIROB],
-    }
-    for key, bip, transposed in (("N_AR", Bipartition.ALICE_ROB, ro),
-                                 ("N_ARbar", Bipartition.ALICE_ANTIROB, ab),
-                                 ("N_RRbar", Bipartition.ROB_ANTIROB, ab)):
-        eta = partial_transpose(rho[bip], transposed)
-        out[key] = negativity_from_pt_eigenvalues(
-            sym_eigenvalues(eta.entries, method="lapack"))
-    return out
-
-
-def hardcore_constructive_measures(r, hc: HardcoreConfig) -> dict:
-    """Measures from the capped tripartite state alone."""
-    psi = hardcore_tripartite_state(r, hc)
-    a, ro, ab = Subsystem.ALICE, Subsystem.ROB, Subsystem.ANTIROB
-    out = {}
-    rho = {
-        Bipartition.ALICE_ROB: reduced_density_matrix(psi, (a, ro)),
-        Bipartition.ALICE_ANTIROB: reduced_density_matrix(psi, (a, ab)),
-        Bipartition.ROB_ANTIROB: reduced_density_matrix(psi, (ro, ab)),
-    }
-    singles = {s: von_neumann_entropy(reduced_density_matrix(psi, (s,)),
-                                      method="lapack")
-               for s in (a, ro, ab)}
-    ent = {bip: von_neumann_entropy(m, method="lapack") for bip, m in rho.items()}
-    out["I_AR"] = singles[a] + singles[ro] - ent[Bipartition.ALICE_ROB]
-    out["I_ARbar"] = singles[a] + singles[ab] - ent[Bipartition.ALICE_ANTIROB]
-    out["I_RRbar"] = singles[ro] + singles[ab] - ent[Bipartition.ROB_ANTIROB]
-    for key, bip, transposed in (("N_AR", Bipartition.ALICE_ROB, ro),
-                                 ("N_ARbar", Bipartition.ALICE_ANTIROB, ab),
-                                 ("N_RRbar", Bipartition.ROB_ANTIROB, ab)):
-        eta = partial_transpose(rho[bip], transposed)
-        out[key] = negativity_from_pt_eigenvalues(
-            sym_eigenvalues(eta.entries, method="lapack"))
-    return out
+    return CorrelationReport.from_routes(rv, closed, constructive, (dv + do) / 2.0,
+                                         tol, bound)
 
 
 def hardcore_report(r, hc: HardcoreConfig, oracle: bool = True) -> CorrelationReport:
-    """Correlation report for the capped-occupation mode."""
-    rv = _r_value(r)
+    """Correlation report for the capped-occupation mode: the measures of
+    the capped closed-form matrices, checked against those of the capped
+    tripartite state."""
+    rv = _r_value(r, FieldKind.HARDCORE)
     dv, do = truncation_deficits(rv, hc.cap)
     deficit = 0.0 if hc.mode == "renormalized" else (dv + do) / 2.0
-    closed = hardcore_closed_measures(rv, hc)
-    constructive = hardcore_constructive_measures(rv, hc) if oracle else None
-    return _report_from_routes(rv, closed, constructive, deficit, ORACLE_TOL)
+    closed = bipartite_measures({bip: hardcore_rho(rv, hc, bip) for bip in Bipartition})
+    constructive = None
+    if oracle:
+        psi = hardcore_tripartite_state(rv, hc)
+        constructive = bipartite_measures(
+            {bip: reduced_density_matrix(psi, bip.kept) for bip in Bipartition})
+    return CorrelationReport.from_routes(rv, closed, constructive, deficit, ORACLE_TOL)

@@ -120,7 +120,7 @@ def test_criterion_06_scalar_ppt():
     for r in SCALAR_PROBE:
         assert scalar_negativity_ARbar(r, CFG) == 0.0
         rho = scalar_closed_rho(r, CFG, Bipartition.ALICE_ANTIROB)
-        eigs = sym_eigenvalues(partial_transpose(rho, B).entries, "lapack")
+        eigs = sym_eigenvalues(partial_transpose(rho, B).entries)
         worst_eig = min(worst_eig, float(eigs.min()))
         t, ch = math.tanh(r), math.cosh(r)
         for n in range(resolve_n_max(r, CFG) + 1):
@@ -137,11 +137,11 @@ def test_criterion_07_scalar_mutual_information_conservation():
     worst = 0.0
     for r in np.linspace(0.0, 1.5, 40):
         psi = scalar_tripartite_state(r, CFG)
-        s_a = von_neumann_entropy(reduced_density_matrix(psi, (A,)), "lapack")
-        s_r = von_neumann_entropy(reduced_density_matrix(psi, (R,)), "lapack")
-        s_b = von_neumann_entropy(reduced_density_matrix(psi, (B,)), "lapack")
-        s_ar = von_neumann_entropy(reduced_density_matrix(psi, (A, R)), "lapack")
-        s_ab = von_neumann_entropy(reduced_density_matrix(psi, (A, B)), "lapack")
+        s_a = von_neumann_entropy(reduced_density_matrix(psi, (A,)))
+        s_r = von_neumann_entropy(reduced_density_matrix(psi, (R,)))
+        s_b = von_neumann_entropy(reduced_density_matrix(psi, (B,)))
+        s_ar = von_neumann_entropy(reduced_density_matrix(psi, (A, R)))
+        s_ab = von_neumann_entropy(reduced_density_matrix(psi, (A, B)))
         i_sum = (s_a + s_r - s_ar) + (s_a + s_b - s_ab)
         worst = max(worst, abs(i_sum - 2.0))
     report(7, worst <= 1e-8, f"I_AR + I_ARbar = 2 under adaptive truncation, "
@@ -154,7 +154,7 @@ def test_criterion_08_scalar_alice_rob_negativity():
     worst = 0.0
     for r in SCALAR_PROBE:
         psi = scalar_tripartite_state(r, CFG)
-        brute = negativity(reduced_density_matrix(psi, (A, R)), R, "lapack")
+        brute = negativity(reduced_density_matrix(psi, (A, R)), R)
         worst = max(worst, abs(scalar_negativity_AR(r, CFG) - brute))
     series = [scalar_negativity_AR(r, CFG) for r in np.linspace(0, 1.5, 60)]
     decreasing = bool(np.all(np.diff(series) < 0))
@@ -191,8 +191,7 @@ def test_criterion_10_hardcore_bosons():
             hc = HardcoreConfig(cap=cap, mode=mode)
             for r in (0.4, 1.1, 2.5):
                 rho = hardcore_rho(r, hc, Bipartition.ALICE_ANTIROB)
-                eigs = sym_eigenvalues(partial_transpose(rho, B).entries,
-                                       "lapack")
+                eigs = sym_eigenvalues(partial_transpose(rho, B).entries)
                 worst_eig = min(worst_eig, float(eigs.min()))
     assert worst_eig >= -1e-12
 
@@ -213,7 +212,7 @@ def test_criterion_10_hardcore_bosons():
     hc = HardcoreConfig(cap=2)
     def n_rrbar(r):
         rho = hardcore_rho(r, hc, Bipartition.ROB_ANTIROB)
-        return negativity(rho, B, method="lapack")
+        return negativity(rho, B)
     at_rest = n_rrbar(0.0)
     peak = max(n_rrbar(r) for r in np.linspace(0.1, 2.0, 20))
     far = n_rrbar(6.0)

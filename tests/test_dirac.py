@@ -11,9 +11,10 @@ from unruh.dirac import (apply_annihilation, apply_creation,
                          dirac_one_particle, dirac_report,
                          dirac_tripartite_state, dirac_vacuum, rapidity_dirac)
 from unruh.fock import (Bipartition, FieldKind, Subsystem, density_from_state,
-                        partial_trace, partial_transpose)
+                        partial_trace, partial_transpose, reduced_density_matrix)
 from unruh.linalg import sym_eigenvalues
-from unruh.measures import negativity, von_neumann_entropy
+from unruh.measures import bipartite_measures, negativity, von_neumann_entropy
+from unruh.sweep import figure_preset
 
 A, R, B = Subsystem.ALICE, Subsystem.ROB, Subsystem.ANTIROB
 GRID = np.linspace(0.0, math.pi / 4, 50)
@@ -324,6 +325,13 @@ def test_report_oracle_agreement():
         assert rep.oracle_discrepancy <= 1e-10
 
 
+def test_oracle_discrepancy_over_fig3_grid():
+    # LAPACK on the reduced matrices leaves the routes a few ulps apart
+    grid = figure_preset("fig3").grid()
+    worst = max(dirac_report(min(r, math.pi / 4)).oracle_discrepancy for r in grid)
+    assert worst <= 1e-13
+
+
 def test_report_conservation_laws():
     reps = [dirac_report(r, oracle=False) for r in GRID]
     assert max(abs(rp.I_AR + rp.I_ARbar - 2.0) for rp in reps) < 1e-10
@@ -337,11 +345,15 @@ def test_report_max_acceleration():
 
 
 def test_spin_choice_independence():
-    for r in (0.1, 0.45, math.pi / 4):
-        up = dirac_report(r, alice_spin="up")
-        down = dirac_report(r, alice_spin="down")
+    def measures(r, spin):
+        psi = dirac_tripartite_state(r, alice_spin=spin)
+        return bipartite_measures({bip: reduced_density_matrix(psi, bip.kept)
+                                   for bip in Bipartition})
+
+    for r in GRID:
+        up, down = measures(r, "up"), measures(r, "down")
         for name in ("I_AR", "I_ARbar", "I_RRbar", "N_AR", "N_ARbar", "N_RRbar"):
-            assert abs(getattr(up, name) - getattr(down, name)) < 1e-12
+            assert abs(up[name] - down[name]) < 1e-12
 
 
 def test_constructive_measures_standalone():

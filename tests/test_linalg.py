@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from unruh.errors import ConvergenceError, NotSymmetricError
-from unruh.linalg import (JACOBI_SIZE_LIMIT, jacobi_eigenvalues,
-                          sym_eigenvalues, tridiagonal_eigenvalues)
+from unruh.linalg import sym_eigenvalues, tridiagonal_eigenvalues
 
 
 def test_identity():
@@ -23,25 +22,14 @@ def test_antidiagonal_pair(a):
 def test_tridiagonal_corner_block():
     # [[0, 3/16], [3/16, 9/32]] has eigenvalues (a2 +- sqrt(a2^2 + 4 a1^2))/2
     m = np.array([[0.0, 3 / 16], [3 / 16, 9 / 32]])
-    eigs = sym_eigenvalues(m, method="jacobi")
+    eigs = sym_eigenvalues(m)
     assert abs(eigs[0] - 3 / 8) < 1e-15
     assert abs(eigs[1] + 3 / 32) < 1e-15
 
 
 def test_zero_and_single():
-    assert np.allclose(jacobi_eigenvalues(np.zeros((4, 4))), 0.0)
+    assert np.allclose(sym_eigenvalues(np.zeros((4, 4))), 0.0)
     assert np.allclose(sym_eigenvalues(np.array([[7.0]])), [7.0])
-
-
-def test_jacobi_matches_lapack_on_random_matrices():
-    rng = np.random.default_rng(7)
-    for n in (2, 3, 5, 8, 16, 32):
-        for _ in range(4):
-            a = rng.standard_normal((n, n))
-            a = (a + a.T) / 2
-            e_j = sym_eigenvalues(a, method="jacobi")
-            e_l = sym_eigenvalues(a, method="lapack")
-            assert np.max(np.abs(e_j - e_l)) < 1e-11
 
 
 def test_sorted_descending_and_trace():
@@ -53,38 +41,12 @@ def test_sorted_descending_and_trace():
     assert abs(eigs.sum() - np.trace(a)) < 1e-10
 
 
-def test_auto_dispatch_consistency():
-    rng = np.random.default_rng(3)
-    small = rng.standard_normal((JACOBI_SIZE_LIMIT, JACOBI_SIZE_LIMIT))
-    small = (small + small.T) / 2
-    assert np.allclose(sym_eigenvalues(small, "auto"),
-                       sym_eigenvalues(small, "jacobi"))
-    big = rng.standard_normal((40, 40))
-    big = (big + big.T) / 2
-    assert np.allclose(sym_eigenvalues(big, "auto"),
-                       sym_eigenvalues(big, "lapack"))
-
-
 def test_non_symmetric_rejected():
     m = np.array([[0.0, 1.0], [0.5, 0.0]])
     with pytest.raises(NotSymmetricError):
         sym_eigenvalues(m)
     with pytest.raises(NotSymmetricError):
         sym_eigenvalues(np.zeros((2, 3)))
-
-
-def test_sweep_cap_raises_with_partial_value():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((6, 6))
-    a = (a + a.T) / 2
-    with pytest.raises(ConvergenceError) as err:
-        jacobi_eigenvalues(a, max_sweeps=0)
-    assert err.value.partial_value is not None
-
-
-def test_unknown_method():
-    with pytest.raises(ValueError):
-        sym_eigenvalues(np.eye(2), method="qr")
 
 
 def test_tridiagonal_matches_dense():
@@ -96,7 +58,7 @@ def test_tridiagonal_matches_dense():
         for k in range(n - 1):
             m[k, k + 1] = m[k + 1, k] = e[k]
         assert np.max(np.abs(tridiagonal_eigenvalues(d, e)
-                             - sym_eigenvalues(m, "lapack"))) < 1e-12
+                             - sym_eigenvalues(m))) < 1e-12
 
 
 def test_tridiagonal_matches_scipy_bitwise():
@@ -117,12 +79,15 @@ def test_tridiagonal_failures_are_typed():
 
 
 def test_import_does_not_load_scipy():
-    # scipy is only needed by the tridiagonal path, imported on first use
+    # scipy is only needed by the tridiagonal path, imported on first use;
+    # Dirac and hardcore reports, oracle included, never reach it
     import unruh
     src = os.path.dirname(os.path.dirname(unruh.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys, unruh; "
+            "unruh.dirac_report(0.3); "
+            "unruh.hardcore_report(0.3, unruh.HardcoreConfig(cap=2)); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from unruh.errors import NotAStateError
-from unruh.fock import (DensityMatrix, LabeledBasis, StateVector, Subsystem,
-                        density_from_state, tensor_state)
-from unruh.measures import (entropy_from_eigenvalues, log_negativity,
-                            log_negativity_from_negativity,
+from unruh.fock import (Bipartition, DensityMatrix, LabeledBasis, StateVector,
+                        Subsystem, density_from_state, reduced_density_matrix,
+                        tensor_state)
+from unruh.measures import (bipartite_measures, entropy_from_eigenvalues,
+                            log_negativity, log_negativity_from_negativity,
                             mutual_information, negativity,
                             von_neumann_entropy)
 
-A, R = Subsystem.ALICE, Subsystem.ROB
+A, R, B = Subsystem.ALICE, Subsystem.ROB, Subsystem.ANTIROB
 
 
 def bell():
@@ -88,3 +89,18 @@ def test_log_negativity():
     assert abs(log_negativity(bell(), R) - 1.0) < 1e-12
     with pytest.raises(ValueError):
         log_negativity_from_negativity(-0.1)
+
+
+def test_bipartite_measures_bell_pair_next_to_a_pure_party():
+    # Alice and Rob share a Bell pair; AntiRob sits in a pure state of its own
+    pair = StateVector((LabeledBasis.fock(A, 1), LabeledBasis.fock(R, 1)),
+                       np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
+    alone = StateVector((LabeledBasis.fock(B, 2),), np.array([0.6, 0.0, 0.8]))
+    psi = tensor_state(pair, alone)
+    got = bipartite_measures({bip: reduced_density_matrix(psi, bip.kept)
+                              for bip in Bipartition})
+    want = {"I_AR": 2.0, "I_ARbar": 0.0, "I_RRbar": 0.0,
+            "N_AR": 0.5, "N_ARbar": 0.0, "N_RRbar": 0.0}
+    assert set(got) == set(want)
+    for key in want:
+        assert abs(got[key] - want[key]) < 1e-12

@@ -166,7 +166,7 @@ def test_alice_rob_block_eigenvalues():
     # each 2x2 block contributes one zero and one weight
     r = 0.75
     rho = scalar_closed_rho(r, CFG, Bipartition.ALICE_ROB)
-    eigs = sym_eigenvalues(rho.entries, method="lapack")
+    eigs = sym_eigenvalues(rho.entries)
     x = math.tanh(r) ** 2
     ch2 = math.cosh(r) ** 2
     n_max = resolve_n_max(r, CFG)
@@ -180,7 +180,7 @@ def test_rrbar_reduced_rank_two():
     # keeps the dense eigensolve small at the larger r
     for r, cfg in ((0.3, CFG), (1.0, TruncationConfig(n_max=30))):
         rho = scalar_closed_rho(r, cfg, Bipartition.ROB_ANTIROB)
-        eigs = sym_eigenvalues(rho.entries, method="lapack")
+        eigs = sym_eigenvalues(rho.entries)
         tol = 2 * rho.trace_deficit + 1e-12
         assert abs(eigs[0] - 0.5) < tol
         assert abs(eigs[1] - 0.5) < tol
@@ -202,8 +202,8 @@ def test_entropies_match_spectral():
     for r in PROBE:
         ent = scalar_entropies(r, CFG)
         psi = scalar_tripartite_state(r, CFG)
-        s_r = von_neumann_entropy(reduced_density_matrix(psi, (R,)), "lapack")
-        s_b = von_neumann_entropy(reduced_density_matrix(psi, (B,)), "lapack")
+        s_r = von_neumann_entropy(reduced_density_matrix(psi, (R,)))
+        s_b = von_neumann_entropy(reduced_density_matrix(psi, (B,)))
         assert abs(ent.S_R - s_r) < 1e-8
         assert abs(ent.S_Rbar - s_b) < 1e-8
 
@@ -242,8 +242,8 @@ def test_schmidt_duality_explicit():
     psi = scalar_tripartite_state(0.6, cfg)
     rho_joint = reduced_density_matrix(psi, (R, B))
     rho_alice = reduced_density_matrix(psi, (A,))
-    s1 = von_neumann_entropy(rho_joint, "lapack")
-    s2 = von_neumann_entropy(rho_alice, "lapack")
+    s1 = von_neumann_entropy(rho_joint)
+    s2 = von_neumann_entropy(rho_alice)
     assert abs(s1 - s2) < 1e-10
 
 
@@ -262,7 +262,7 @@ def test_negativity_ar_series_values():
     for r in PROBE:
         psi = scalar_tripartite_state(r, CFG)
         rho = reduced_density_matrix(psi, (A, R))
-        brute = negativity(rho, R, method="lapack")
+        brute = negativity(rho, R)
         assert abs(scalar_negativity_AR(r, CFG) - brute) < 1e-9
 
 
@@ -276,7 +276,7 @@ def test_negativity_arbar_zero_with_psd_transpose():
     for r in PROBE + (2.0,):
         assert scalar_negativity_ARbar(r, CFG) == 0.0
         rho = scalar_closed_rho(r, CFG, Bipartition.ALICE_ANTIROB)
-        eigs = sym_eigenvalues(partial_transpose(rho, B).entries, "lapack")
+        eigs = sym_eigenvalues(partial_transpose(rho, B).entries)
         assert float(eigs.min()) >= -1e-12
 
 
@@ -344,9 +344,9 @@ def test_constructive_pt_is_block_diagonal():
         mask[np.ix_(idx, idx)] = True
     assert np.max(np.abs(eta.entries[~mask])) == 0.0
     # and the blockwise negativity agrees with the dense eigensolve
-    dense = negativity(reduced_density_matrix(psi, (R, B)), B, method="lapack")
+    dense = negativity(reduced_density_matrix(psi, (R, B)), B)
     blockwise = sum(
-        -sym_eigenvalues(rrbar_block_constructive(psi, d), "lapack").clip(max=0).sum()
+        -sym_eigenvalues(rrbar_block_constructive(psi, d)).clip(max=0).sum()
         for d in range(1, d_r + d_b))
     assert abs(dense - blockwise) < 1e-10
 
@@ -618,6 +618,28 @@ def test_hardcore_config_validation():
         HardcoreConfig(cap=2, mode="clip")
 
 
+def test_dense_rob_antirob_order_is_bounded(monkeypatch):
+    # cap 62 is the largest cap whose (cap + 2)(cap + 1) is within the bound
+    assert 64 * 63 <= scalar.DENSE_ORDER_MAX < 65 * 64
+    HardcoreConfig(cap=62)
+    with pytest.raises(ValueError, match="cap must be <= 62"):
+        HardcoreConfig(cap=63)
+    real_zeros = np.zeros
+
+    def bounded_zeros(shape, *args, **kwargs):
+        assert np.prod(shape) <= scalar.DENSE_ORDER_MAX ** 2, f"allocated {shape}"
+        return real_zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", bounded_zeros)
+    # the adaptive cutoff at r = 1.5 would need a matrix of about 4.8 GB
+    n_max = resolve_n_max(1.5, TruncationConfig())
+    assert (n_max + 2) * (n_max + 1) > scalar.DENSE_ORDER_MAX
+    with pytest.raises(TruncationError, match="order"):
+        scalar_closed_rho(1.5, TruncationConfig(), Bipartition.ROB_ANTIROB)
+    rho = scalar_closed_rho(1.5, TruncationConfig(n_max=62), Bipartition.ROB_ANTIROB)
+    assert rho.dim == 64 * 63
+
+
 def test_hardcore_state_modes():
     hc = HardcoreConfig(cap=2)
     psi = hardcore_tripartite_state(1.0, hc)
@@ -663,7 +685,7 @@ def test_hardcore_arbar_negativity_vanishes(cap, mode):
     hc = HardcoreConfig(cap=cap, mode=mode)
     for r in (0.3, 0.9, 1.7, 3.0):
         rho = hardcore_rho(r, hc, Bipartition.ALICE_ANTIROB)
-        eigs = sym_eigenvalues(partial_transpose(rho, B).entries, "lapack")
+        eigs = sym_eigenvalues(partial_transpose(rho, B).entries)
         assert float(eigs.min()) >= -1e-12
         rep = hardcore_report(r, hc)
         assert rep.N_ARbar == 0.0

@@ -184,6 +184,16 @@ def test_cli_invalid_values_are_usage_errors(tmp_path, capsys, args):
     assert not out.exists()
 
 
+def test_cli_hardcore_cap_past_dense_bound_is_a_usage_error(tmp_path, capsys):
+    # a cap-1000 Rob-AntiRob matrix would have order 1,003,002; nothing is built
+    out = tmp_path / "hc.csv"
+    rc = main(["--field", "hardcore", "--cap", "1000", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: cap must be <= 62") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_hardcore_past_float_range_is_a_failed_row(tmp_path, capsys):
     # at r = 10.6 tanh^2 r rounds to 1 and a cap-2 state keeps no mass
     out = tmp_path / "hc.csv"

@@ -12,8 +12,9 @@ import sys
 from dataclasses import fields
 
 from .fock import FieldKind
-from .sweep import (PRESETS, SweepConfig, check_report, figure_preset,
-                    run_sweep)
+from .scalar import HardcoreConfig
+from .sweep import (CHECK_NAMES, PRESETS, SweepConfig, check_report,
+                    figure_preset, run_sweep)
 
 _FIELDS = {"dirac": FieldKind.DIRAC, "scalar": FieldKind.SCALAR,
            "hardcore": FieldKind.HARDCORE}
@@ -33,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, help="number of grid points (>= 2)")
     p.add_argument("--cap", type=int,
                    help="occupation cap for hardcore-boson sweeps")
-    p.add_argument("--hardcore-mode", choices=("truncate_only", "renormalized"),
+    p.add_argument("--hardcore-mode", choices=HardcoreConfig.MODES,
                    help="keep raw truncated coefficients or renormalize")
     p.add_argument("--tail-tol", type=float,
                    help="Fock truncation tail tolerance (default 1e-12)")
@@ -42,8 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output CSV path (default sweep.csv, or "
                                  "<preset>.csv when --preset is given)")
     p.add_argument("--check", action="append", dest="checks", metavar="NAME",
-                   choices=("i-conservation", "n-conservation", "n-arbar-zero",
-                            "none"),
+                   choices=CHECK_NAMES + ("none",),
                    help="enable a conservation/property check (repeatable; "
                         "'none' disables all; default: the laws valid for "
                         "the field kind)")

@@ -21,7 +21,7 @@ import numpy as np
 from .fock import (Bipartition, DensityMatrix, FieldKind, LabeledBasis,
                    SqueezingParam, StateVector, Subsystem, _r_value,
                    reduced_density_matrix)
-from .measures import bipartite_measures
+from .measures import bipartite_measures, mutual_informations
 from .report import CorrelationReport
 
 ORACLE_TOL = 1e-10
@@ -319,10 +319,10 @@ def _xlog2(v: float) -> float:
 
 
 def dirac_closed_entropies(r) -> dict:
-    """Closed-form von Neumann entropies of all subsystems, in bits.
+    """Closed-form von Neumann entropies of the subsystems, in bits.
 
     For the pure tripartite state the complementary pairs coincide:
-    S_AR = S_Rbar, S_ARbar = S_R, S_RRbar = S_A = 1.
+    S_AR = S_Rbar, S_ARbar = S_R, and S_RRbar = S_A = 1, so it is omitted.
     """
     rv = _r_value(r, FieldKind.DIRAC)
     c2, s2 = math.cos(rv) ** 2, math.sin(rv) ** 2
@@ -334,17 +334,6 @@ def dirac_closed_entropies(r) -> dict:
         "Rbar": s_antirob,
         "AR": s_antirob,
         "ARbar": s_rob,
-        "RRbar": 1.0,
-    }
-
-
-def dirac_closed_mutual_informations(r) -> dict:
-    """Closed-form mutual informations; I_AR + I_ARbar = 2 identically."""
-    s = dirac_closed_entropies(r)
-    return {
-        "AR": 1.0 + s["R"] - s["Rbar"],
-        "ARbar": 1.0 + s["Rbar"] - s["R"],
-        "RRbar": s["R"] + s["Rbar"] - 1.0,
     }
 
 
@@ -364,15 +353,13 @@ def dirac_constructive_measures(r) -> dict:
 
 
 def dirac_closed_measures(r) -> dict:
-    mi = dirac_closed_mutual_informations(r)
-    return {
-        "I_AR": mi["AR"],
-        "I_ARbar": mi["ARbar"],
-        "I_RRbar": mi["RRbar"],
-        "N_AR": dirac_closed_negativity(r, Bipartition.ALICE_ROB),
-        "N_ARbar": dirac_closed_negativity(r, Bipartition.ALICE_ANTIROB),
-        "N_RRbar": dirac_closed_negativity(r, Bipartition.ROB_ANTIROB),
-    }
+    """All six measures in closed form; I_AR + I_ARbar = 2 identically."""
+    s = dirac_closed_entropies(r)
+    out = mutual_informations(s["A"], s["R"], s["Rbar"], s["AR"], s["ARbar"])
+    out["N_AR"] = dirac_closed_negativity(r, Bipartition.ALICE_ROB)
+    out["N_ARbar"] = dirac_closed_negativity(r, Bipartition.ALICE_ANTIROB)
+    out["N_RRbar"] = dirac_closed_negativity(r, Bipartition.ROB_ANTIROB)
+    return out
 
 
 def dirac_report(r, oracle: bool = True) -> CorrelationReport:

@@ -195,15 +195,13 @@ class StateVector:
 class DensityMatrix:
     """Real symmetric matrix over a product basis with trace bookkeeping.
 
-    ``is_state`` marks matrices meant to be positive semidefinite; partial
-    transposes reuse the container with ``is_state=False``. The trace must
-    equal 1 - trace_deficit.
+    Partial transposes, which need not be positive semidefinite, reuse the
+    container. The trace must equal 1 - trace_deficit.
     """
 
     basis: tuple[LabeledBasis, ...]
     entries: np.ndarray
     trace_deficit: float = 0.0
-    is_state: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(self.basis))
@@ -306,7 +304,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     d = int(np.prod([dims[i] for i, s in enumerate(rho.subsystems) if s in kept]))
     new_basis = tuple(b for b in rho.basis if b.subsystem in kept)
     return DensityMatrix(new_basis, out.reshape(d, d),
-                         trace_deficit=rho.trace_deficit, is_state=rho.is_state)
+                         trace_deficit=rho.trace_deficit)
 
 
 def reduced_density_matrix(psi: StateVector, keep) -> DensityMatrix:
@@ -333,8 +331,7 @@ def reduced_density_matrix(psi: StateVector, keep) -> DensityMatrix:
 def partial_transpose(rho: DensityMatrix, transposed: Subsystem) -> DensityMatrix:
     """Transpose the indices of one subsystem of a bipartite matrix.
 
-    An involution that preserves the trace and symmetry but not positivity;
-    the output is flagged ``is_state=False``.
+    An involution that preserves the trace and symmetry but not positivity.
     """
     if len(rho.basis) != 2:
         raise BasisError(
@@ -348,4 +345,4 @@ def partial_transpose(rho: DensityMatrix, transposed: Subsystem) -> DensityMatri
     else:
         t = t.transpose(0, 3, 2, 1)
     return DensityMatrix(rho.basis, t.reshape(d1 * d2, d1 * d2),
-                         trace_deficit=rho.trace_deficit, is_state=False)
+                         trace_deficit=rho.trace_deficit)

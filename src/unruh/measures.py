@@ -6,9 +6,9 @@ spectrum; eigenvalues within 1e-12 of zero count as zero, since closed
 forms produce exact zeros that floating point perturbs. Every dense
 spectrum comes from LAPACK (:func:`unruh.linalg.sym_eigenvalues`).
 
-:func:`bipartite_measures` turns the three bipartite density matrices of an
+:func:`bipartite_measures` turns the bipartite density matrices of a pure
 Alice/Rob/AntiRob state into the six reported measures; every field and
-route that has those matrices goes through it.
+route takes its mutual informations from :func:`mutual_informations`.
 """
 
 from __future__ import annotations
@@ -26,16 +26,16 @@ NEGATIVITY_ZERO_TOL = 1e-12
 _PSD_TOL = 1e-10
 
 
-def entropy_from_eigenvalues(eigenvalues, neg_tol: float = _PSD_TOL) -> float:
+def entropy_from_eigenvalues(eigenvalues) -> float:
     """Shannon entropy -sum(l log2 l) of a spectrum, in bits.
 
-    Raises ``NotAStateError`` if any eigenvalue is below ``-neg_tol``;
-    smaller negative noise is clipped to zero.
+    Raises ``NotAStateError`` if any eigenvalue is below -1e-10; smaller
+    negative noise is clipped to zero.
     """
     e = np.asarray(eigenvalues, dtype=float)
-    if e.size and float(e.min()) < -neg_tol:
+    if e.size and float(e.min()) < -_PSD_TOL:
         raise NotAStateError(
-            f"eigenvalue {float(e.min()):.3e} below -{neg_tol:.0e}: not a state")
+            f"eigenvalue {float(e.min()):.3e} below -{_PSD_TOL:.0e}: not a state")
     e = e[e > 0.0]
     if e.size == 0:
         return 0.0
@@ -83,25 +83,37 @@ def log_negativity(rho_ab: DensityMatrix, transposed: Subsystem) -> float:
     return log_negativity_from_negativity(negativity(rho_ab, transposed))
 
 
-def bipartite_measures(rho: dict[Bipartition, DensityMatrix]) -> dict:
-    """The three mutual informations and three negativities of a tripartite
-    state, from its three bipartite density matrices.
+def mutual_informations(s_a: float, s_r: float, s_rbar: float,
+                        s_ar: float, s_arbar: float) -> dict:
+    """I_AR, I_ARbar and I_RRbar of a pure Alice/Rob/AntiRob state from its
+    entropies, in bits; purity gives S_RRbar = S_A."""
+    return {
+        "I_AR": s_a + s_r - s_ar,
+        "I_ARbar": s_a + s_rbar - s_arbar,
+        "I_RRbar": s_r + s_rbar - s_a,
+    }
 
-    Alice's entropy comes from the Alice-Rob matrix, Rob's and AntiRob's
-    from the Rob-AntiRob one; each negativity transposes the second party.
+
+def bipartite_measures(rho: dict[Bipartition, DensityMatrix]) -> dict:
+    """The mutual informations and negativities of a pure tripartite state,
+    from its bipartite density matrices.
+
+    Every entropy comes from the Alice-Rob and Alice-AntiRob matrices; the
+    Rob-AntiRob one is Alice's, because the state is pure (a truncated one
+    too: complementary reductions share their nonzero spectrum). Each
+    negativity transposes the second party; N_RRbar is computed only when
+    ``rho`` holds the Rob-AntiRob matrix.
     """
     ar = rho[Bipartition.ALICE_ROB]
     arbar = rho[Bipartition.ALICE_ANTIROB]
-    rrbar = rho[Bipartition.ROB_ANTIROB]
     a, ro, ab = Subsystem.ALICE, Subsystem.ROB, Subsystem.ANTIROB
-    s_a = von_neumann_entropy(partial_trace(ar, (a,)))
-    s_r = von_neumann_entropy(partial_trace(rrbar, (ro,)))
-    s_rbar = von_neumann_entropy(partial_trace(rrbar, (ab,)))
-    return {
-        "I_AR": s_a + s_r - von_neumann_entropy(ar),
-        "I_ARbar": s_a + s_rbar - von_neumann_entropy(arbar),
-        "I_RRbar": s_r + s_rbar - von_neumann_entropy(rrbar),
-        "N_AR": negativity(ar, ro),
-        "N_ARbar": negativity(arbar, ab),
-        "N_RRbar": negativity(rrbar, ab),
-    }
+    out = mutual_informations(
+        von_neumann_entropy(partial_trace(ar, (a,))),
+        von_neumann_entropy(partial_trace(ar, (ro,))),
+        von_neumann_entropy(partial_trace(arbar, (ab,))),
+        von_neumann_entropy(ar), von_neumann_entropy(arbar))
+    out["N_AR"] = negativity(ar, ro)
+    out["N_ARbar"] = negativity(arbar, ab)
+    if Bipartition.ROB_ANTIROB in rho:
+        out["N_RRbar"] = negativity(rho[Bipartition.ROB_ANTIROB], ab)
+    return out

@@ -25,7 +25,7 @@ from .fock import (Bipartition, DensityMatrix, FieldKind, LabeledBasis,
                    partial_transpose, reduced_density_matrix)
 from .linalg import sym_eigenvalues, tridiagonal_eigenvalues
 from .measures import (NEGATIVITY_ZERO_TOL, bipartite_measures,
-                       negativity_from_pt_eigenvalues, von_neumann_entropy)
+                       mutual_informations, negativity_from_pt_eigenvalues)
 from .report import CorrelationReport
 
 ORACLE_TOL = 1e-9
@@ -33,6 +33,8 @@ _PT_PSD_ERROR_TOL = 1e-10
 _TRIDIAGONAL_TOL = 1e-14
 _SERIES_FLOOR = 1e-22
 _SERIES_CAP = 1_000_000
+# a Rob-AntiRob block contributing less than this counts as quiet
+BLOCK_TOL = 1e-14
 # bound on adaptive cutoff growth
 N_MAX_CAP = 4096
 # largest order of a dense Rob-AntiRob matrix, (n_max + 2)(n_max + 1): 128 MB
@@ -45,14 +47,13 @@ class TruncationConfig:
 
     ``n_max`` is the cutoff of the squeezed-mode sums (Rob occupations then
     reach n_max + 1 through the one-particle component); ``None`` adapts it
-    to ``tail_tol``. ``d_max``/``block_tol`` govern the Rob-AntiRob
-    block-sum negativity. Adaptive growth stops at ``N_MAX_CAP``.
+    to ``tail_tol``. ``d_max`` caps the Rob-AntiRob block-sum negativity.
+    Adaptive growth stops at ``N_MAX_CAP``.
     """
 
     n_max: int | None = None
     tail_tol: float = 1e-12
     d_max: int = 400
-    block_tol: float = 1e-14
 
     def __post_init__(self):
         if self.n_max is not None and self.n_max < 1:
@@ -61,8 +62,6 @@ class TruncationConfig:
             raise ValueError(f"tail_tol must be finite and positive, got {self.tail_tol}")
         if self.d_max < 2:
             raise ValueError(f"d_max must be >= 2, got {self.d_max}")
-        if not (math.isfinite(self.block_tol) and self.block_tol > 0):
-            raise ValueError(f"block_tol must be finite and positive, got {self.block_tol}")
 
 
 @dataclass(frozen=True)
@@ -516,7 +515,7 @@ def scalar_negativity_RRbar(r, cfg: TruncationConfig = TruncationConfig(),
 
     Strictly increasing with acceleration and unbounded; block contributions
     decay geometrically in tanh r, so the sum stops after three consecutive
-    blocks below block_tol, a window that guards against stopping on a
+    blocks below ``BLOCK_TOL``, a window that guards against stopping on a
     parity dip. If ``blocks`` is a list, the (diagonal, off-diagonal,
     spectrum) of every block summed is appended to it, block D at index
     D - 1.
@@ -533,7 +532,7 @@ def scalar_negativity_RRbar(r, cfg: TruncationConfig = TruncationConfig(),
             blocks.append((diag, off, eigs))
         contrib = negativity_from_pt_eigenvalues(eigs)
         total += contrib
-        if contrib < cfg.block_tol:
+        if contrib < BLOCK_TOL:
             quiet += 1
             if quiet >= 3:
                 return total
@@ -612,20 +611,12 @@ def hardcore_rho(r, hc: HardcoreConfig, bipartition: Bipartition) -> DensityMatr
 # dual-route reports
 # ---------------------------------------------------------------------------
 
-def _mutual_informations_from_entropies(ent: SubsystemEntropies) -> dict:
-    return {
-        "I_AR": ent.S_A + ent.S_R - ent.S_AR,
-        "I_ARbar": ent.S_A + ent.S_Rbar - ent.S_ARbar,
-        "I_RRbar": ent.S_R + ent.S_Rbar - ent.S_RRbar,
-    }
-
-
 def scalar_closed_measures(r, cfg: TruncationConfig,
                            rrbar_blocks: list | None = None) -> dict:
     """All six measures in closed form; ``rrbar_blocks`` as in
     :func:`scalar_negativity_RRbar`."""
     ent = scalar_entropies(r, cfg)
-    out = _mutual_informations_from_entropies(ent)
+    out = mutual_informations(ent.S_A, ent.S_R, ent.S_Rbar, ent.S_AR, ent.S_ARbar)
     out["N_AR"] = scalar_negativity_AR(r, cfg)
     out["N_ARbar"] = scalar_negativity_ARbar(r, cfg)
     out["N_RRbar"] = scalar_negativity_RRbar(r, cfg, rrbar_blocks)
@@ -634,40 +625,24 @@ def scalar_closed_measures(r, cfg: TruncationConfig,
 
 def scalar_constructive_measures(r, cfg: TruncationConfig,
                                  psi: StateVector | None = None) -> dict:
-    """Every measure but N_RRbar from the truncated state alone (LAPACK
-    eigensolves); :func:`rrbar_mirsky_bound` checks N_RRbar instead.
+    """Every measure but N_RRbar, by :func:`bipartite_measures` over the
+    Alice-Rob and Alice-AntiRob reductions of the truncated state ``psi``
+    (built at ``cfg`` if not given); :func:`rrbar_mirsky_bound` checks
+    N_RRbar instead.
 
-    Joint Rob-AntiRob entropies use the exact Schmidt duality of a pure
-    state: the nonzero spectrum of a reduction equals that of its
-    complement, so S_RRbar comes from Alice's 2x2 reduction.
+    Raises ``NotAStateError`` if the Alice-AntiRob negativity exceeds 1e-10,
+    which the closed form proves to vanish.
     """
     rv = _r_value(r, FieldKind.SCALAR)
     if psi is None:
         psi = scalar_tripartite_state(rv, cfg)
-    a, ro, ab = Subsystem.ALICE, Subsystem.ROB, Subsystem.ANTIROB
-    rho_ar = reduced_density_matrix(psi, (a, ro))
-    rho_arbar = reduced_density_matrix(psi, (a, ab))
-    s_ar = von_neumann_entropy(rho_ar)
-    s_arbar = von_neumann_entropy(rho_arbar)
-    s_a = von_neumann_entropy(reduced_density_matrix(psi, (a,)))
-    s_r = von_neumann_entropy(reduced_density_matrix(psi, (ro,)))
-    s_rbar = von_neumann_entropy(reduced_density_matrix(psi, (ab,)))
-    s_rrbar = s_a
-    eta_ar = partial_transpose(rho_ar, ro)
-    eta_arbar = partial_transpose(rho_arbar, ab)
-    pt_ar = sym_eigenvalues(eta_ar.entries)
-    pt_arbar = sym_eigenvalues(eta_arbar.entries)
-    if float(pt_arbar.min()) < -_PT_PSD_ERROR_TOL:
+    out = bipartite_measures({bip: reduced_density_matrix(psi, bip.kept) for bip in
+                              (Bipartition.ALICE_ROB, Bipartition.ALICE_ANTIROB)})
+    if out["N_ARbar"] > _PT_PSD_ERROR_TOL:
         raise NotAStateError(
-            f"constructive Alice-AntiRob partial transpose has eigenvalue "
-            f"{pt_arbar.min():.3e}")
-    return {
-        "I_AR": s_a + s_r - s_ar,
-        "I_ARbar": s_a + s_rbar - s_arbar,
-        "I_RRbar": s_r + s_rbar - s_rrbar,
-        "N_AR": negativity_from_pt_eigenvalues(pt_ar),
-        "N_ARbar": negativity_from_pt_eigenvalues(pt_arbar),
-    }
+            f"constructive Alice-AntiRob partial transpose has negativity "
+            f"{out['N_ARbar']:.3e} > {_PT_PSD_ERROR_TOL:.0e}")
+    return out
 
 
 def scalar_report(r, cfg: TruncationConfig = TruncationConfig(),

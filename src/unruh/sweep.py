@@ -51,8 +51,6 @@ class SweepConfig:
     hardcore_mode: str = "truncate_only"
     tail_tol: float = 1e-12
     d_max: int = 400
-    block_tol: float = 1e-14
-    n_max: int | None = None
     out: str | None = None
     checks: tuple[str, ...] | None = None
     oracle: bool = True
@@ -80,7 +78,7 @@ class SweepConfig:
         if self.hardcore_mode not in HardcoreConfig.MODES:
             raise ValueError(
                 f"hardcore_mode must be one of {HardcoreConfig.MODES}")
-        # the per-point configs validate n_max, d_max, the tolerances and cap
+        # the per-point configs validate d_max, tail_tol and cap
         self.truncation()
         if self.field_kind is FieldKind.HARDCORE:
             self.hardcore()
@@ -90,8 +88,7 @@ class SweepConfig:
         return [self.r_min + i * step for i in range(self.steps)]
 
     def truncation(self) -> TruncationConfig:
-        return TruncationConfig(n_max=self.n_max, tail_tol=self.tail_tol,
-                                d_max=self.d_max, block_tol=self.block_tol)
+        return TruncationConfig(tail_tol=self.tail_tol, d_max=self.d_max)
 
     def hardcore(self) -> HardcoreConfig:
         return HardcoreConfig(cap=self.cap, mode=self.hardcore_mode)

@@ -184,7 +184,6 @@ def test_partial_transpose_diagonal_invariant():
     rho = DensityMatrix(basis, np.diag([0.4, 0.3, 0.2, 0.1]))
     eta = partial_transpose(rho, R)
     assert np.allclose(eta.entries, rho.entries)
-    assert not eta.is_state
 
 
 def test_partial_transpose_bell_spectrum():

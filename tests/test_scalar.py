@@ -6,8 +6,9 @@ import pytest
 from unruh import scalar
 from unruh.errors import (ConvergenceError, NotAStateError, OracleMismatchError,
                           TruncationError, UnruhError)
-from unruh.fock import (Bipartition, FieldKind, StateVector, Subsystem,
-                        partial_transpose, reduced_density_matrix)
+from unruh.fock import (Bipartition, FieldKind, LabeledBasis, StateVector,
+                        Subsystem, partial_trace, partial_transpose,
+                        reduced_density_matrix)
 from unruh.linalg import sym_eigenvalues, tridiagonal_eigenvalues
 from unruh.measures import (negativity, negativity_from_pt_eigenvalues,
                             von_neumann_entropy)
@@ -245,6 +246,26 @@ def test_schmidt_duality_explicit():
     s1 = von_neumann_entropy(rho_joint)
     s2 = von_neumann_entropy(rho_alice)
     assert abs(s1 - s2) < 1e-10
+    # the closed Rob-AntiRob matrix, whose entropy no report takes, keeps
+    # Alice's spectrum too
+    for cap in (1, 2, 8, 16):
+        for mode in HardcoreConfig.MODES:
+            hc = HardcoreConfig(cap=cap, mode=mode)
+            for r in (0.4, 1.1, 2.5, 4.0):
+                s_joint = von_neumann_entropy(hardcore_rho(r, hc, Bipartition.ROB_ANTIROB))
+                s_alice = von_neumann_entropy(
+                    partial_trace(hardcore_rho(r, hc, Bipartition.ALICE_ROB), (A,)))
+                assert abs(s_joint - s_alice) <= 1e-12, (cap, mode, r)
+
+
+def test_constructive_rejects_alice_antirob_entanglement():
+    # an Alice-AntiRob Bell pair with Rob in |0>: the guard must fire
+    amps = np.zeros((2, 2, 2))
+    amps[0, 0, 0] = amps[1, 0, 1] = 1.0 / math.sqrt(2.0)
+    basis = tuple(LabeledBasis.fock(s, 1) for s in (A, R, B))
+    psi = StateVector(basis, amps.ravel())
+    with pytest.raises(NotAStateError):
+        scalar_constructive_measures(0.5, CFG, psi=psi)
 
 
 def test_conservation_constructive():

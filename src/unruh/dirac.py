@@ -319,21 +319,17 @@ def _xlog2(v: float) -> float:
 
 
 def dirac_closed_entropies(r) -> dict:
-    """Closed-form von Neumann entropies of the subsystems, in bits.
+    """Closed-form von Neumann entropies of the single parties, in bits.
 
-    For the pure tripartite state the complementary pairs coincide:
-    S_AR = S_Rbar, S_ARbar = S_R, and S_RRbar = S_A = 1, so it is omitted.
+    The tripartite state is pure, so these fix the joint entropies too:
+    S_AR = S_Rbar, S_ARbar = S_R and S_RRbar = S_A = 1.
     """
     rv = _r_value(r, FieldKind.DIRAC)
     c2, s2 = math.cos(rv) ** 2, math.sin(rv) ** 2
-    s_rob = 1.0 - _xlog2(s2) - 1.5 * _xlog2(c2) - 0.5 * _xlog2(1 + s2)
-    s_antirob = 1.0 - _xlog2(c2) - 1.5 * _xlog2(s2) - 0.5 * _xlog2(1 + c2)
     return {
         "A": 1.0,
-        "R": s_rob,
-        "Rbar": s_antirob,
-        "AR": s_antirob,
-        "ARbar": s_rob,
+        "R": 1.0 - _xlog2(s2) - 1.5 * _xlog2(c2) - 0.5 * _xlog2(1 + s2),
+        "Rbar": 1.0 - _xlog2(c2) - 1.5 * _xlog2(s2) - 0.5 * _xlog2(1 + c2),
     }
 
 
@@ -355,7 +351,7 @@ def dirac_constructive_measures(r) -> dict:
 def dirac_closed_measures(r) -> dict:
     """All six measures in closed form; I_AR + I_ARbar = 2 identically."""
     s = dirac_closed_entropies(r)
-    out = mutual_informations(s["A"], s["R"], s["Rbar"], s["AR"], s["ARbar"])
+    out = mutual_informations(s["A"], s["R"], s["Rbar"])
     out["N_AR"] = dirac_closed_negativity(r, Bipartition.ALICE_ROB)
     out["N_ARbar"] = dirac_closed_negativity(r, Bipartition.ALICE_ANTIROB)
     out["N_RRbar"] = dirac_closed_negativity(r, Bipartition.ROB_ANTIROB)

@@ -23,7 +23,7 @@ from .fock import (Bipartition, DensityMatrix, Subsystem, partial_trace,
 from .linalg import sym_eigenvalues
 
 NEGATIVITY_ZERO_TOL = 1e-12
-_PSD_TOL = 1e-10
+PSD_TOL = 1e-10  # a state's eigenvalue below -PSD_TOL is a bug, not rounding
 
 
 def entropy_from_eigenvalues(eigenvalues) -> float:
@@ -33,9 +33,9 @@ def entropy_from_eigenvalues(eigenvalues) -> float:
     negative noise is clipped to zero.
     """
     e = np.asarray(eigenvalues, dtype=float)
-    if e.size and float(e.min()) < -_PSD_TOL:
+    if e.size and float(e.min()) < -PSD_TOL:
         raise NotAStateError(
-            f"eigenvalue {float(e.min()):.3e} below -{_PSD_TOL:.0e}: not a state")
+            f"eigenvalue {float(e.min()):.3e} below -{PSD_TOL:.0e}: not a state")
     e = e[e > 0.0]
     if e.size == 0:
         return 0.0
@@ -83,13 +83,12 @@ def log_negativity(rho_ab: DensityMatrix, transposed: Subsystem) -> float:
     return log_negativity_from_negativity(negativity(rho_ab, transposed))
 
 
-def mutual_informations(s_a: float, s_r: float, s_rbar: float,
-                        s_ar: float, s_arbar: float) -> dict:
+def mutual_informations(s_a: float, s_r: float, s_rbar: float) -> dict:
     """I_AR, I_ARbar and I_RRbar of a pure Alice/Rob/AntiRob state from its
-    entropies, in bits; purity gives S_RRbar = S_A."""
+    single-party entropies, in bits: S_AR = S_Rbar, S_ARbar = S_R, S_RRbar = S_A."""
     return {
-        "I_AR": s_a + s_r - s_ar,
-        "I_ARbar": s_a + s_rbar - s_arbar,
+        "I_AR": s_a + s_r - s_rbar,
+        "I_ARbar": s_a + s_rbar - s_r,
         "I_RRbar": s_r + s_rbar - s_a,
     }
 
@@ -98,11 +97,10 @@ def bipartite_measures(rho: dict[Bipartition, DensityMatrix]) -> dict:
     """The mutual informations and negativities of a pure tripartite state,
     from its bipartite density matrices.
 
-    Every entropy comes from the Alice-Rob and Alice-AntiRob matrices; the
-    Rob-AntiRob one is Alice's, because the state is pure (a truncated one
-    too: complementary reductions share their nonzero spectrum). Each
-    negativity transposes the second party; N_RRbar is computed only when
-    ``rho`` holds the Rob-AntiRob matrix.
+    Only Alice's, Rob's and AntiRob's entropies are eigensolved; purity (of
+    a truncated state too: complementary reductions share their nonzero
+    spectrum) gives the joint ones. Each negativity transposes the second
+    party; N_RRbar is computed only when ``rho`` holds the Rob-AntiRob matrix.
     """
     ar = rho[Bipartition.ALICE_ROB]
     arbar = rho[Bipartition.ALICE_ANTIROB]
@@ -110,8 +108,7 @@ def bipartite_measures(rho: dict[Bipartition, DensityMatrix]) -> dict:
     out = mutual_informations(
         von_neumann_entropy(partial_trace(ar, (a,))),
         von_neumann_entropy(partial_trace(ar, (ro,))),
-        von_neumann_entropy(partial_trace(arbar, (ab,))),
-        von_neumann_entropy(ar), von_neumann_entropy(arbar))
+        von_neumann_entropy(partial_trace(arbar, (ab,))))
     out["N_AR"] = negativity(ar, ro)
     out["N_ARbar"] = negativity(arbar, ab)
     if Bipartition.ROB_ANTIROB in rho:

@@ -22,14 +22,13 @@ import numpy as np
 from .errors import ConvergenceError, NotAStateError, TruncationError
 from .fock import (Bipartition, DensityMatrix, FieldKind, LabeledBasis,
                    SqueezingParam, StateVector, Subsystem, _r_value,
-                   partial_transpose, reduced_density_matrix)
-from .linalg import sym_eigenvalues, tridiagonal_eigenvalues
-from .measures import (NEGATIVITY_ZERO_TOL, bipartite_measures,
+                   reduced_density_matrix)
+from .linalg import tridiagonal_eigenvalues
+from .measures import (NEGATIVITY_ZERO_TOL, PSD_TOL, bipartite_measures,
                        mutual_informations, negativity_from_pt_eigenvalues)
 from .report import CorrelationReport
 
 ORACLE_TOL = 1e-9
-_PT_PSD_ERROR_TOL = 1e-10
 _TRIDIAGONAL_TOL = 1e-14
 _SERIES_FLOOR = 1e-22
 _SERIES_CAP = 1_000_000
@@ -39,6 +38,9 @@ BLOCK_TOL = 1e-14
 N_MAX_CAP = 4096
 # largest order of a dense Rob-AntiRob matrix, (n_max + 2)(n_max + 1): 128 MB
 DENSE_ORDER_MAX = 4096
+# about half an ulp of 1 (5.55e-17): a capped one-particle component keeping
+# less of its mass has a deficit of 1 to double precision
+ONE_PARTICLE_MASS_FLOOR = 5e-17
 
 
 @dataclass(frozen=True)
@@ -95,9 +97,6 @@ class HardcoreConfig:
 class SubsystemEntropies(NamedTuple):
     S_R: float
     S_Rbar: float
-    S_AR: float
-    S_ARbar: float
-    S_RRbar: float
     S_A: float
 
 
@@ -122,8 +121,9 @@ def vacuum_tail(x: float, n_max: int) -> float:
 
 
 def one_particle_tail(x: float, n_max: int) -> float:
-    """Mass of the one-particle state beyond summation index n_max."""
-    return x ** (n_max + 1) * ((n_max + 2) - (n_max + 1) * x)
+    """Mass of the one-particle state beyond summation index n_max, with
+    1 - x = sech^2 r (exact for x >= 1/2) in place of (n+2) - (n+1)x."""
+    return x ** (n_max + 1) * (1.0 + (n_max + 1) * (1.0 - x))
 
 
 def resolve_n_max(r, cfg: TruncationConfig) -> int:
@@ -158,52 +158,52 @@ def _bases(n_max: int) -> tuple[LabeledBasis, LabeledBasis]:
             LabeledBasis.fock(Subsystem.ANTIROB, n_max))
 
 
+def _component_amplitudes(rv: float, n_max: int) -> np.ndarray:
+    """Flat Rob x AntiRob amplitudes: vacuum in row 0, one particle in row 1."""
+    rob, antirob = _bases(n_max)
+    t, ch = math.tanh(rv), math.cosh(rv)
+    amps = np.zeros((2, rob.dim, antirob.dim))
+    n = np.arange(n_max + 1)
+    amps[0, n, n] = t ** n / ch
+    amps[1, n + 1, n] = t ** n * np.sqrt(n + 1) / ch ** 2
+    return amps.reshape(2, -1)
+
+
 def scalar_vacuum(r, cfg: TruncationConfig = TruncationConfig()) -> StateVector:
     """Accelerated-frame vacuum: amplitude tanh^n r / cosh r on (n, n)."""
     rv = _r_value(r, FieldKind.SCALAR)
     n_max = resolve_n_max(rv, cfg)
-    rob, antirob = _bases(n_max)
-    t, ch = math.tanh(rv), math.cosh(rv)
-    amps = np.zeros((rob.dim, antirob.dim))
-    n = np.arange(n_max + 1)
-    amps[n, n] = t ** n / ch
-    deficit = vacuum_tail(t * t, n_max)
-    return StateVector((rob, antirob), amps.ravel(), trace_deficit=deficit)
+    return StateVector(_bases(n_max), _component_amplitudes(rv, n_max)[0],
+                       trace_deficit=truncation_deficits(rv, n_max)[0])
 
 
 def scalar_one_particle(r, cfg: TruncationConfig = TruncationConfig()) -> StateVector:
     """Minkowski one-particle state: tanh^n r sqrt(n+1)/cosh^2 r on (n+1, n)."""
     rv = _r_value(r, FieldKind.SCALAR)
     n_max = resolve_n_max(rv, cfg)
-    rob, antirob = _bases(n_max)
-    t, ch = math.tanh(rv), math.cosh(rv)
-    amps = np.zeros((rob.dim, antirob.dim))
-    n = np.arange(n_max + 1)
-    amps[n + 1, n] = t ** n * np.sqrt(n + 1) / ch ** 2
-    deficit = one_particle_tail(t * t, n_max)
-    return StateVector((rob, antirob), amps.ravel(), trace_deficit=deficit)
+    return StateVector(_bases(n_max), _component_amplitudes(rv, n_max)[1],
+                       trace_deficit=truncation_deficits(rv, n_max)[1])
 
 
 def scalar_tripartite_state(r, cfg: TruncationConfig = TruncationConfig(),
                             renormalized: bool = False) -> StateVector:
-    """(|0>_A |vacuum> + |1>_A |one particle>)/sqrt(2) over Alice x Rob x AntiRob."""
+    """(|0>_A |vacuum> + |1>_A |one particle>)/sqrt(2) over Alice x Rob x AntiRob.
+
+    Only this state's deficit is declared, not each component's, which
+    rounds to 1 for a capped one-particle component at large r.
+    """
     rv = _r_value(r, FieldKind.SCALAR)
     n_max = resolve_n_max(rv, cfg)
-    pinned = replace(cfg, n_max=n_max)
-    vac = scalar_vacuum(rv, pinned)
-    one = scalar_one_particle(rv, pinned)
-    alice = LabeledBasis.fock(Subsystem.ALICE, 1)
-    amps = np.zeros((2, vac.amplitudes.size))
-    amps[0] = vac.amplitudes
-    amps[1] = one.amplitudes
+    amps = _component_amplitudes(rv, n_max)
     amps /= math.sqrt(2.0)
-    deficit = (vac.trace_deficit + one.trace_deficit) / 2.0
+    deficit = sum(truncation_deficits(rv, n_max)) / 2.0
     if renormalized:
         # the kept mass summed from its own terms: 1 - deficit cancels
         # badly once the deficit nears 1
         amps /= math.sqrt(float(np.sum(amps * amps)))
         deficit = 0.0
-    return StateVector((alice,) + vac.basis, amps.ravel(), trace_deficit=deficit)
+    return StateVector((LabeledBasis.fock(Subsystem.ALICE, 1),) + _bases(n_max),
+                       amps.ravel(), trace_deficit=deficit)
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +305,14 @@ def _series_entropy(weight, x: float) -> float:
 
 
 def scalar_entropies(r, cfg: TruncationConfig = TruncationConfig()) -> SubsystemEntropies:
-    """Series-summed subsystem entropies, in bits.
+    """Series-summed single-party entropies, in bits.
 
-    For the pure tripartite state the joint entropies collapse onto the
-    single-party ones: S_AR = S_Rbar, S_ARbar = S_R, S_RRbar = S_A = 1.
+    The tripartite state is pure, so these fix the joint entropies too:
+    S_AR = S_Rbar, S_ARbar = S_R and S_RRbar = S_A = 1.
     """
     x = math.tanh(_r_value(r, FieldKind.SCALAR)) ** 2
-    s_r = _series_entropy(rob_weight, x)
-    s_rbar = _series_entropy(antirob_weight, x)
-    return SubsystemEntropies(S_R=s_r, S_Rbar=s_rbar, S_AR=s_rbar,
-                              S_ARbar=s_r, S_RRbar=1.0, S_A=1.0)
+    return SubsystemEntropies(S_R=_series_entropy(rob_weight, x),
+                              S_Rbar=_series_entropy(antirob_weight, x), S_A=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -352,26 +350,22 @@ def scalar_negativity_AR(r, cfg: TruncationConfig = TruncationConfig()) -> float
 def scalar_negativity_ARbar(r, cfg: TruncationConfig = TruncationConfig()) -> float:
     """Alice-AntiRob negativity: identically zero for every acceleration.
 
-    Asserts the claim rather than assuming it: every 2x2 block of the
-    partial transpose has non-negative determinant, and the numerically
-    computed spectrum must stay above -1e-10 (an eigenvalue below that is
-    an implementation bug and raises).
+    Asserts the claim rather than assuming it. Apart from two non-negative
+    diagonal entries, the partial transpose is a sum of 2x2 blocks pairing
+    |0, n> with |1, n+1>, tanh^2n r / (2 cosh^2 r) [[1, b], [b, c]] with
+    b = sqrt(n+1) tanh r / cosh r and c = (n+2) tanh^2 r / cosh^2 r. A
+    closed-form smaller eigenvalue below -1e-10 is a bug and raises.
     """
     rv = _r_value(r, FieldKind.SCALAR)
-    n_max = resolve_n_max(rv, cfg)
+    n = np.arange(resolve_n_max(rv, cfg))
     t, ch = math.tanh(rv), math.cosh(rv)
-    for n in range(n_max + 1):
-        pref = t ** (2 * n) / (2 * ch ** 2)
-        det = pref * pref * ((n + 2) * t * t / ch ** 2 - (n + 1) * t * t / ch ** 2)
-        if det < -1e-30:
-            raise NotAStateError(f"partial-transpose block {n} has negative determinant")
-    rho = _closed_rho(rv, n_max, Bipartition.ALICE_ANTIROB)
-    eta = partial_transpose(rho, Subsystem.ANTIROB)
-    eigs = sym_eigenvalues(eta.entries)
-    if float(eigs.min()) < -_PT_PSD_ERROR_TOL:
+    b = np.sqrt(n + 1) * t / ch
+    c = (n + 2) * t * t / ch ** 2
+    low = t ** (2 * n) / (2 * ch ** 2) * ((1.0 + c) / 2 - np.hypot((1.0 - c) / 2, b))
+    if float(low.min()) < -PSD_TOL:
         raise NotAStateError(
-            f"Alice-AntiRob partial transpose has eigenvalue {eigs.min():.3e} "
-            f"< -{_PT_PSD_ERROR_TOL:.0e}")
+            f"Alice-AntiRob partial-transpose block {int(low.argmin())} has "
+            f"eigenvalue {low.min():.3e} < -{PSD_TOL:.0e}")
     return 0.0
 
 
@@ -575,19 +569,23 @@ def rrbar_mirsky_bound(psi: StateVector, blocks) -> float:
 # ---------------------------------------------------------------------------
 
 def hardcore_tripartite_state(r, hc: HardcoreConfig) -> StateVector:
-    """Capped-occupation tripartite state; cutoff pinned at the cap."""
+    """Capped-occupation tripartite state; cutoff pinned at the cap.
+
+    Raises ``TruncationError`` where the one-particle component keeps less
+    than ``ONE_PARTICLE_MASS_FLOOR`` of its mass (from r = 10.4 at cap 1 to
+    11.4 at cap 16), summed from its positive terms sech^4 r (n+1) tanh^2n r
+    so it falls monotonically with r, unlike 1 - one_particle_tail.
+    """
     rv = _r_value(r, FieldKind.SCALAR)
-    _require_kept_mass(rv, hc, *truncation_deficits(rv, hc.cap))
+    e, n = math.exp(-rv), np.arange(hc.cap + 1)
+    sech4 = (2 * e / (1 + e * e)) ** 4  # 1 / cosh r overflows past r ~ 710
+    kept = float(np.sum(sech4 * (n + 1) * math.tanh(rv) ** (2 * n)))
+    if kept < ONE_PARTICLE_MASS_FLOOR:
+        raise TruncationError(
+            f"cap {hc.cap} keeps a one-particle mass of {kept:.3e} at r={rv}, "
+            f"below {ONE_PARTICLE_MASS_FLOOR:.0e}")
     cfg = TruncationConfig(n_max=hc.cap)
     return scalar_tripartite_state(rv, cfg, renormalized=hc.mode == "renormalized")
-
-
-def _require_kept_mass(rv: float, hc: HardcoreConfig, *tails: float) -> None:
-    # tanh^2 r rounds to 1 at large r, and then a tail is the whole mass
-    if max(tails) >= 1.0:
-        raise TruncationError(
-            f"cap {hc.cap} keeps no probability mass at r={rv}: the truncated "
-            f"tail rounds to {max(tails)!r}")
 
 
 def hardcore_rho(r, hc: HardcoreConfig, bipartition: Bipartition) -> DensityMatrix:
@@ -599,8 +597,9 @@ def hardcore_rho(r, hc: HardcoreConfig, bipartition: Bipartition) -> DensityMatr
     1 - deficit, which cancels badly once the deficit nears 1.
     """
     rv = _r_value(r, FieldKind.SCALAR)
-    dv, do = truncation_deficits(rv, hc.cap)
-    _require_kept_mass(rv, hc, (dv + do) / 2.0)
+    deficit = sum(truncation_deficits(rv, hc.cap)) / 2.0
+    if deficit >= 1.0:  # tanh^2 r rounds to 1 from r ~ 19.1
+        raise TruncationError(f"cap {hc.cap} keeps no probability mass at r={rv}")
     if hc.mode == "renormalized":
         basis, m = _closed_entries(rv, hc.cap, bipartition)
         return DensityMatrix(basis, m / np.trace(m))
@@ -616,7 +615,7 @@ def scalar_closed_measures(r, cfg: TruncationConfig,
     """All six measures in closed form; ``rrbar_blocks`` as in
     :func:`scalar_negativity_RRbar`."""
     ent = scalar_entropies(r, cfg)
-    out = mutual_informations(ent.S_A, ent.S_R, ent.S_Rbar, ent.S_AR, ent.S_ARbar)
+    out = mutual_informations(ent.S_A, ent.S_R, ent.S_Rbar)
     out["N_AR"] = scalar_negativity_AR(r, cfg)
     out["N_ARbar"] = scalar_negativity_ARbar(r, cfg)
     out["N_RRbar"] = scalar_negativity_RRbar(r, cfg, rrbar_blocks)
@@ -638,10 +637,10 @@ def scalar_constructive_measures(r, cfg: TruncationConfig,
         psi = scalar_tripartite_state(rv, cfg)
     out = bipartite_measures({bip: reduced_density_matrix(psi, bip.kept) for bip in
                               (Bipartition.ALICE_ROB, Bipartition.ALICE_ANTIROB)})
-    if out["N_ARbar"] > _PT_PSD_ERROR_TOL:
+    if out["N_ARbar"] > PSD_TOL:
         raise NotAStateError(
             f"constructive Alice-AntiRob partial transpose has negativity "
-            f"{out['N_ARbar']:.3e} > {_PT_PSD_ERROR_TOL:.0e}")
+            f"{out['N_ARbar']:.3e} > {PSD_TOL:.0e}")
     return out
 
 
@@ -660,7 +659,9 @@ def scalar_report(r, cfg: TruncationConfig = TruncationConfig(),
 
     The allowed discrepancy is 1e-9 at the default truncation and scales
     with a loosened tail_tol, since the dropped tail shifts the constructive
-    entropies by about tail_tol times a log factor.
+    entropies by about tail_tol times a log factor. The oracle raises
+    ``TruncationError`` before it allocates anything if its largest array,
+    the deep state, would hold more than DENSE_ORDER_MAX^2 amplitudes.
     """
     rv = _r_value(r, FieldKind.SCALAR)
     n_max = resolve_n_max(rv, cfg)
@@ -669,8 +670,12 @@ def scalar_report(r, cfg: TruncationConfig = TruncationConfig(),
     closed = scalar_closed_measures(rv, cfg, blocks)
     constructive, bound = None, 0.0
     if oracle:
-        constructive = scalar_constructive_measures(rv, cfg)
         deep = replace(cfg, n_max=2 * n_max + 2)
+        size = 2 * (deep.n_max + 2) * (deep.n_max + 1)
+        if size > DENSE_ORDER_MAX ** 2:
+            raise TruncationError(f"the oracle's deep state at r={rv} would hold "
+                                  f"{size} amplitudes > {DENSE_ORDER_MAX ** 2}")
+        constructive = scalar_constructive_measures(rv, cfg)
         bound = rrbar_mirsky_bound(scalar_tripartite_state(rv, deep), blocks)
     tol = max(ORACLE_TOL, 100.0 * cfg.tail_tol)
     return CorrelationReport.from_routes(rv, closed, constructive, (dv + do) / 2.0,

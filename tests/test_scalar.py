@@ -5,7 +5,7 @@ import pytest
 
 from unruh import scalar
 from unruh.errors import (ConvergenceError, NotAStateError, OracleMismatchError,
-                          TruncationError, UnruhError)
+                          TruncationError)
 from unruh.fock import (Bipartition, FieldKind, LabeledBasis, StateVector,
                         Subsystem, partial_trace, partial_transpose,
                         reduced_density_matrix)
@@ -196,7 +196,7 @@ def test_entropies_inertial_limit():
     ent = scalar_entropies(0.0, CFG)
     assert abs(ent.S_R - 1.0) < 1e-14
     assert ent.S_Rbar == 0.0
-    assert ent.S_A == 1.0 and ent.S_RRbar == 1.0
+    assert ent.S_A == 1.0
 
 
 def test_entropies_match_spectral():
@@ -256,6 +256,18 @@ def test_schmidt_duality_explicit():
                 s_alice = von_neumann_entropy(
                     partial_trace(hardcore_rho(r, hc, Bipartition.ALICE_ROB), (A,)))
                 assert abs(s_joint - s_alice) <= 1e-12, (cap, mode, r)
+                # the reports take S_AR = S_Rbar and S_ARbar = S_R, from the
+                # closed matrices and from the state's reductions alike
+                psi = hardcore_tripartite_state(r, hc)
+                for rho in ({bip: hardcore_rho(r, hc, bip) for bip in Bipartition},
+                            {bip: reduced_density_matrix(psi, bip.kept)
+                             for bip in Bipartition}):
+                    ar = rho[Bipartition.ALICE_ROB]
+                    arbar = rho[Bipartition.ALICE_ANTIROB]
+                    s_r = von_neumann_entropy(partial_trace(ar, (R,)))
+                    s_rbar = von_neumann_entropy(partial_trace(arbar, (B,)))
+                    assert abs(von_neumann_entropy(ar) - s_rbar) <= 1e-12, (cap, mode, r)
+                    assert abs(von_neumann_entropy(arbar) - s_r) <= 1e-12, (cap, mode, r)
 
 
 def test_constructive_rejects_alice_antirob_entanglement():
@@ -299,6 +311,24 @@ def test_negativity_arbar_zero_with_psd_transpose():
         rho = scalar_closed_rho(r, CFG, Bipartition.ALICE_ANTIROB)
         eigs = sym_eigenvalues(partial_transpose(rho, B).entries)
         assert float(eigs.min()) >= -1e-12
+
+
+@pytest.mark.parametrize("r", [0.5, 1.5])
+def test_closed_scalar_route_makes_no_dense_eigensolve(monkeypatch, r):
+    def dense(*args, **kwargs):
+        raise AssertionError("the closed scalar route eigensolved a dense matrix")
+    monkeypatch.setattr(np.linalg, "eigvalsh", dense)
+    rep = scalar_report(r, CFG, oracle=False)
+    assert rep.N_ARbar == 0.0 and rep.N_RRbar > 0.0
+
+
+def test_arbar_block_check_raises_on_a_negative_eigenvalue(monkeypatch):
+    # inflating the root of the closed-form smaller eigenvalue pushes the
+    # blocks below -1e-10: the guard must fire
+    hypot = np.hypot
+    monkeypatch.setattr(np, "hypot", lambda a, b: 2.0 * hypot(a, b))
+    with pytest.raises(NotAStateError, match="partial-transpose block"):
+        scalar_negativity_ARbar(0.5, CFG)
 
 
 def test_arbar_pt_block_determinants():
@@ -722,7 +752,7 @@ def test_hardcore_rrbar_nonmonotonic():
 
 
 def test_hardcore_large_r_is_a_truncation_error():
-    # tanh^2 r rounds to 1: the one-particle tail is the whole mass
+    # the one-particle component keeps less than ONE_PARTICLE_MASS_FLOOR
     with pytest.raises(TruncationError, match=r"cap 2 .*r=10\.6"):
         hardcore_report(10.6, HardcoreConfig(cap=2))
     assert hardcore_report(10.5, HardcoreConfig(cap=2)).trace_deficit < 1.0
@@ -738,18 +768,38 @@ def test_hardcore_report_oracle():
 @pytest.mark.parametrize("mode", HardcoreConfig.MODES)
 def test_hardcore_large_r_rows_finite_or_typed(cap, mode):
     # past r ~ 8.6 the kept mass is below 1e-7, so computed as 1 - deficit
-    # it would be off by more than the 1e-9 trace tolerance
+    # it would be off by more than the 1e-9 trace tolerance; and once a row
+    # raises TruncationError, every row at a larger r raises it too
     hc = HardcoreConfig(cap=cap, mode=mode)
-    finite = 0
-    for r in np.arange(40, 250) / 10.0:
-        for oracle in (False, True):
+    for oracle in (False, True):
+        finite, failed_at = 0, None
+        for r in np.arange(40, 250) / 10.0:
             try:
                 rep = hardcore_report(r, hc, oracle=oracle)
-            except UnruhError:
+            except TruncationError:
+                failed_at = r if failed_at is None else failed_at
                 continue
-            assert all(math.isfinite(v) for v in rep.as_row()[:-1]), (r, oracle)
+            assert failed_at is None, (r, oracle, failed_at)
+            assert all(math.isfinite(v) and v >= 0.0
+                       for v in rep.as_row()[:-1]), (r, oracle)
             finite += 1
-    assert finite > 0
+        assert finite > 0 and failed_at is not None
+
+
+def test_oracle_allocation_is_bounded(monkeypatch):
+    # at r = 1.5 a tail_tol of 1e-300 asks for n_max = 3498: a deep state of
+    # about 780 MB, which the oracle must refuse before allocating
+    real_zeros = np.zeros
+
+    def bounded_zeros(shape, *args, **kwargs):
+        assert np.prod(shape) <= scalar.DENSE_ORDER_MAX ** 2, f"allocated {shape}"
+        return real_zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", bounded_zeros)
+    cfg = TruncationConfig(tail_tol=1e-300)
+    with pytest.raises(TruncationError, match=r"r=1\.5 .* > 16777216"):
+        scalar_report(1.5, cfg)
+    assert scalar_report(1.5, cfg, oracle=False).N_ARbar == 0.0
 
 
 def test_hardcore_renormalized_past_the_old_trace_failure():

@@ -194,7 +194,7 @@ def test_cli_hardcore_cap_past_dense_bound_is_a_usage_error(tmp_path, capsys):
 
 
 def test_cli_hardcore_past_float_range_is_a_failed_row(tmp_path, capsys):
-    # at r = 10.6 tanh^2 r rounds to 1 and a cap-2 state keeps no mass
+    # at r = 10.6 a cap-2 one-particle component keeps less than the floor
     out = tmp_path / "hc.csv"
     rc = main(["--field", "hardcore", "--cap", "2", "--r-min", "10.4",
                "--r-max", "10.6", "--steps", "2", "--out", str(out)])

@@ -29,14 +29,14 @@ from .measures import (NEGATIVITY_ZERO_TOL, PSD_TOL, bipartite_measures,
 from .report import CorrelationReport
 
 ORACLE_TOL = 1e-9
-_TRIDIAGONAL_TOL = 1e-14
 _SERIES_FLOOR = 1e-22
 _SERIES_CAP = 1_000_000
 # a Rob-AntiRob block contributing less than this counts as quiet
 BLOCK_TOL = 1e-14
 # bound on adaptive cutoff growth
 N_MAX_CAP = 4096
-# largest order of a dense Rob-AntiRob matrix, (n_max + 2)(n_max + 1): 128 MB
+# largest order of a dense Rob-AntiRob matrix, (n_max + 2)(n_max + 1): 128 MB;
+# a state holds at most DENSE_ORDER_MAX^2 amplitudes, the same 128 MB
 DENSE_ORDER_MAX = 4096
 # about half an ulp of 1 (5.55e-17): a capped one-particle component keeping
 # less of its mass has a deficit of 1 to double precision
@@ -159,8 +159,16 @@ def _bases(n_max: int) -> tuple[LabeledBasis, LabeledBasis]:
 
 
 def _component_amplitudes(rv: float, n_max: int) -> np.ndarray:
-    """Flat Rob x AntiRob amplitudes: vacuum in row 0, one particle in row 1."""
+    """Flat Rob x AntiRob amplitudes: vacuum in row 0, one particle in row 1.
+
+    Raises ``TruncationError`` before it allocates anything if they would
+    number more than DENSE_ORDER_MAX^2.
+    """
     rob, antirob = _bases(n_max)
+    size = 2 * rob.dim * antirob.dim
+    if size > DENSE_ORDER_MAX ** 2:
+        raise TruncationError(f"the state at r={rv} with cutoff {n_max} would hold "
+                              f"{size} amplitudes > {DENSE_ORDER_MAX ** 2}")
     t, ch = math.tanh(rv), math.cosh(rv)
     amps = np.zeros((2, rob.dim, antirob.dim))
     n = np.arange(n_max + 1)
@@ -442,65 +450,51 @@ def _alice_rob_antirob_tensor(psi: StateVector) -> np.ndarray:
     return psi.tensor()
 
 
-def rrbar_band_constructive(psi: StateVector, D: int) -> tuple[np.ndarray, np.ndarray]:
-    """(diagonal, first off-diagonal) of :func:`rrbar_block_constructive`,
-    read from the 4D - 2 amplitudes they involve instead of the dense block.
+def rrbar_bands(psi: StateVector, n_blocks: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(diagonal, off-diagonal) of the Rob-AntiRob partial-transpose blocks
+    D = 1..n_blocks of ``psi``, block D at index D - 1, equal bitwise to
+    the band of :func:`rrbar_block_constructive`.
 
-    Entry (i, j) of the block is sum_a psi[a, n_i, m_j] psi[a, n_j, m_i];
-    the Alice components are summed in the same order as the dense block,
-    so the two agree entry for entry.
-    """
-    tensor = _alice_rob_antirob_tensor(psi)
-    _, d_r, d_b = tensor.shape
-    n, m = rrbar_block_labels(D)
-    # factor pairs: (n_i, m_i) with itself on the diagonal, then
-    # (n_k, m_k+1) with (n_k+1, m_k) on the off-diagonal
-    rows = np.concatenate((n, n[:-1], n, n[1:]))
-    cols = np.concatenate((m, m[1:], m, m[:-1]))
-    amps = tensor[:, np.minimum(rows, d_r - 1), np.minimum(cols, d_b - 1)]
-    amps[:, (rows >= d_r) | (cols >= d_b)] = 0.0  # labels beyond the cutoff read 0
-    k = 2 * D - 1
-    band = np.zeros(k)
-    for g in amps:
-        band += g[:k] * g[k:]
-    return band[:D], band[D:]
-
-
-def check_rrbar_tridiagonal(psi: StateVector) -> None:
-    """Raise ``NotAStateError`` if any Rob-AntiRob partial-transpose block of
-    ``psi`` has an entry off its tridiagonal band above 1e-14 max(1, max |entry|).
-
-    Entry (i, j) of block D pairs the amplitudes on (n_i, m_j) and
-    (n_j, m_i). With n_i + m_i = n_j + m_j = D - 1 both labels lie on the
-    same offset delta = n - m, and two labels on one offset fix the entry.
-    On delta = 0 and delta = 1, where the scalar state lives, every such
-    entry is on the band; on any other offset every pair of distinct labels
-    lands off it. So only amplitudes on other offsets are enumerated; a
-    valid state has none, and the check costs one pass over its amplitudes.
-    It covers every block, not only those a block sum reaches.
+    Entry (i, j) of block D is sum_a psi[a, n_i, m_j] psi[a, n_j, m_i].
+    With n_i + m_i = n_j + m_j = D - 1 both labels lie on one offset n - m,
+    and on offsets 0 and 1, where the scalar state lives, every such pair
+    falls on the band. So a state with amplitudes on those offsets only has
+    tridiagonal blocks, whose couplings are two Gram tables over the Alice
+    axis, U[i, j] = sum_a psi[a, i, i] psi[a, j, j] and
+    Y[i, j] = sum_a psi[a, i+1, i] psi[a, j+1, j]: position 2i of block D
+    holds U[i, D-1-i] and position 2j+1 holds Y[j, D-2-j], the last of
+    them on the diagonal, every other entry zero. Raises ``NotAStateError``
+    if any amplitude lies off offsets 0 and 1, so it covers every block,
+    not only those asked for.
     """
     tensor = _alice_rob_antirob_tensor(psi)
     _, n, m = np.nonzero(tensor)
-    delta = n - m
-    stray = (delta != 0) & (delta != 1)
-    for dl in np.unique(delta[stray]):
-        rows = np.unique(n[stray & (delta == dl)])
-        amps = tensor[:, rows, rows - dl]
-        for k in range(rows.size - 1):
-            entry = np.zeros(rows.size - k - 1)
-            for u in amps:
-                entry += u[k] * u[k + 1:]
-            # the tolerance never drops below 1e-14; scaling by the band
-            # alone is enough, since an off-band entry above max(1, band)
-            # exceeds its tolerance under either scale
-            for idx in np.flatnonzero(np.abs(entry) > _TRIDIAGONAL_TOL):
-                D = int(rows[k] + rows[k + 1 + idx] - dl + 1)
-                band = np.concatenate(rrbar_band_constructive(psi, D))
-                scale = max(1.0, float(np.max(np.abs(band))))
-                if abs(entry[idx]) > _TRIDIAGONAL_TOL * scale:
-                    raise NotAStateError(
-                        f"constructive PT block {D} is not tridiagonal: off-band "
-                        f"entry {entry[idx]:.3e}")
+    stray = np.flatnonzero((n != m) & (n != m + 1))
+    if stray.size:
+        k = stray[0]
+        raise NotAStateError(
+            f"amplitude on rob {n[k]}, antirob {m[k]} lies off offsets 0 and 1: "
+            f"the Rob-AntiRob partial-transpose blocks are not tridiagonal")
+    tables = []
+    for offset in (0, -1):
+        amps = np.zeros((tensor.shape[0], n_blocks))  # zero past the cutoff
+        on = np.diagonal(tensor, offset, 1, 2)[:, :n_blocks]
+        amps[:, :on.shape[1]] = on
+        # summed in the dense block's order, so the two agree bitwise
+        table = np.zeros((n_blocks, n_blocks))
+        for g in amps:
+            table += np.outer(g, g)
+        tables.append(table[:, ::-1])  # block D reads one diagonal
+    u, y = tables
+    bands = []
+    for D in range(1, n_blocks + 1):
+        a = np.empty(D)  # a[ell] is the coupling at position ell
+        a[0::2] = np.diagonal(u, n_blocks - D)[:(D + 1) // 2]
+        a[1::2] = np.diagonal(y, n_blocks - D + 1)[:D // 2]
+        diag = np.zeros(D)
+        diag[D - 1] = a[D - 1]
+        bands.append((diag, a[:D - 1]))
+    return bands
 
 
 def scalar_negativity_RRbar(r, cfg: TruncationConfig = TruncationConfig(),
@@ -542,21 +536,21 @@ def rrbar_mirsky_bound(psi: StateVector, blocks) -> float:
 
     ``blocks`` are the closed blocks a sum used, as recorded by
     :func:`scalar_negativity_RRbar`; each is compared with the band of the
-    same block read from ``psi``, so no constructive block is eigensolved.
-    For blocks B and B' with eigenvalues sorted alike, Mirsky's inequality
-    gives sum |l_i(B) - l_i(B')| <= ||B - B'||_1 <= sum |d diag| +
-    2 sum |d off| (each off-diagonal pair is a rank-2 piece of trace norm
-    2 |d off|). Negativity drops eigenvalues in [-tol, 0), tol =
-    NEGATIVITY_ZERO_TOL, so a pair can differ by tol more only if it
-    straddles -tol, which puts the closed eigenvalue within the band
-    distance of -tol; each such eigenvalue adds tol. Blocks after the last
-    one recorded are not compared. Raises ``NotAStateError`` unless every
-    block of ``psi`` is tridiagonal.
+    same block read from the Gram tables of ``psi`` (:func:`rrbar_bands`),
+    so no constructive block is built or eigensolved. For blocks B and B'
+    with eigenvalues sorted alike, Mirsky's inequality gives
+    sum |l_i(B) - l_i(B')| <= ||B - B'||_1 <= sum |d diag| + 2 sum |d off|
+    (each off-diagonal pair is a rank-2 piece of trace norm 2 |d off|).
+    Negativity drops eigenvalues in [-tol, 0), tol = NEGATIVITY_ZERO_TOL,
+    so a pair can differ by tol more only if it straddles -tol, which puts
+    the closed eigenvalue within the band distance of -tol; each such
+    eigenvalue adds tol. Blocks after the last one recorded are not
+    compared. Raises ``NotAStateError`` if any amplitude of ``psi`` lies
+    off the offsets 0 and 1 that make every block tridiagonal.
     """
-    check_rrbar_tridiagonal(psi)
     bound = 0.0
-    for D, (diag, off, eigs) in enumerate(blocks, start=1):
-        built_diag, built_off = rrbar_band_constructive(psi, D)
+    for (diag, off, eigs), (built_diag, built_off) in zip(
+            blocks, rrbar_bands(psi, len(blocks))):
         dist = float(np.abs(diag - built_diag).sum()
                      + 2.0 * np.abs(off - built_off).sum())
         straddling = np.count_nonzero(np.abs(eigs + NEGATIVITY_ZERO_TOL) <= dist)
@@ -568,24 +562,25 @@ def rrbar_mirsky_bound(psi: StateVector, blocks) -> float:
 # hardcore bosons
 # ---------------------------------------------------------------------------
 
-def hardcore_tripartite_state(r, hc: HardcoreConfig) -> StateVector:
-    """Capped-occupation tripartite state; cutoff pinned at the cap.
-
-    Raises ``TruncationError`` where the one-particle component keeps less
-    than ``ONE_PARTICLE_MASS_FLOOR`` of its mass (from r = 10.4 at cap 1 to
-    11.4 at cap 16), summed from its positive terms sech^4 r (n+1) tanh^2n r
-    so it falls monotonically with r, unlike 1 - one_particle_tail.
-    """
-    rv = _r_value(r, FieldKind.SCALAR)
-    e, n = math.exp(-rv), np.arange(hc.cap + 1)
+def _require_one_particle_mass(rv: float, cap: int) -> None:
+    """Raise ``TruncationError`` where the capped one-particle component
+    keeps less than ``ONE_PARTICLE_MASS_FLOOR`` of its mass (from r = 10.4
+    at cap 1 to 11.4 at cap 16). The mass is summed from its positive terms
+    sech^4 r (n+1) tanh^2n r, so it falls monotonically with r, unlike
+    1 - one_particle_tail."""
+    e, n = math.exp(-rv), np.arange(cap + 1)
     sech4 = (2 * e / (1 + e * e)) ** 4  # 1 / cosh r overflows past r ~ 710
     kept = float(np.sum(sech4 * (n + 1) * math.tanh(rv) ** (2 * n)))
     if kept < ONE_PARTICLE_MASS_FLOOR:
         raise TruncationError(
-            f"cap {hc.cap} keeps a one-particle mass of {kept:.3e} at r={rv}, "
+            f"cap {cap} keeps a one-particle mass of {kept:.3e} at r={rv}, "
             f"below {ONE_PARTICLE_MASS_FLOOR:.0e}")
+
+
+def hardcore_tripartite_state(r, hc: HardcoreConfig) -> StateVector:
+    """Capped-occupation tripartite state; cutoff pinned at the cap."""
     cfg = TruncationConfig(n_max=hc.cap)
-    return scalar_tripartite_state(rv, cfg, renormalized=hc.mode == "renormalized")
+    return scalar_tripartite_state(r, cfg, renormalized=hc.mode == "renormalized")
 
 
 def hardcore_rho(r, hc: HardcoreConfig, bipartition: Bipartition) -> DensityMatrix:
@@ -597,9 +592,6 @@ def hardcore_rho(r, hc: HardcoreConfig, bipartition: Bipartition) -> DensityMatr
     1 - deficit, which cancels badly once the deficit nears 1.
     """
     rv = _r_value(r, FieldKind.SCALAR)
-    deficit = sum(truncation_deficits(rv, hc.cap)) / 2.0
-    if deficit >= 1.0:  # tanh^2 r rounds to 1 from r ~ 19.1
-        raise TruncationError(f"cap {hc.cap} keeps no probability mass at r={rv}")
     if hc.mode == "renormalized":
         basis, m = _closed_entries(rv, hc.cap, bipartition)
         return DensityMatrix(basis, m / np.trace(m))
@@ -651,17 +643,19 @@ def scalar_report(r, cfg: TruncationConfig = TruncationConfig(),
     The reported values come from the series/block closed forms; with
     ``oracle`` enabled they are cross-checked against the truncated
     constructive state: five measures are recomputed from it, and for
-    N_RRbar the discrepancy is the bound of :func:`rrbar_mirsky_bound` over
-    the blocks the closed sum used. Block entries decay like tanh^(n+m)
-    rather than tanh^(2n), so they are read from a state truncated at twice
-    the adaptive cutoff, which keeps their amplitude-level tail below
-    tail_tol too.
+    N_RRbar the discrepancy is the bound of :func:`rrbar_mirsky_bound`,
+    which compares the blocks the closed sum used with the bands of the
+    state's Gram tables. Block entries decay like tanh^(n+m) rather than
+    tanh^(2n), so they are read from a state truncated at twice the
+    adaptive cutoff, which keeps their amplitude-level tail below tail_tol
+    too.
 
     The allowed discrepancy is 1e-9 at the default truncation and scales
     with a loosened tail_tol, since the dropped tail shifts the constructive
-    entropies by about tail_tol times a log factor. The oracle raises
-    ``TruncationError`` before it allocates anything if its largest array,
-    the deep state, would hold more than DENSE_ORDER_MAX^2 amplitudes.
+    entropies by about tail_tol times a log factor. The oracle builds that
+    deep state, its largest array, first, so one of more than
+    DENSE_ORDER_MAX^2 amplitudes raises ``TruncationError`` in the state
+    builder before the oracle allocates anything.
     """
     rv = _r_value(r, FieldKind.SCALAR)
     n_max = resolve_n_max(rv, cfg)
@@ -670,13 +664,10 @@ def scalar_report(r, cfg: TruncationConfig = TruncationConfig(),
     closed = scalar_closed_measures(rv, cfg, blocks)
     constructive, bound = None, 0.0
     if oracle:
+        # the deep state first: it is the largest, and refused unallocated
         deep = replace(cfg, n_max=2 * n_max + 2)
-        size = 2 * (deep.n_max + 2) * (deep.n_max + 1)
-        if size > DENSE_ORDER_MAX ** 2:
-            raise TruncationError(f"the oracle's deep state at r={rv} would hold "
-                                  f"{size} amplitudes > {DENSE_ORDER_MAX ** 2}")
-        constructive = scalar_constructive_measures(rv, cfg)
         bound = rrbar_mirsky_bound(scalar_tripartite_state(rv, deep), blocks)
+        constructive = scalar_constructive_measures(rv, cfg)
     tol = max(ORACLE_TOL, 100.0 * cfg.tail_tol)
     return CorrelationReport.from_routes(rv, closed, constructive, (dv + do) / 2.0,
                                          tol, bound)
@@ -685,8 +676,10 @@ def scalar_report(r, cfg: TruncationConfig = TruncationConfig(),
 def hardcore_report(r, hc: HardcoreConfig, oracle: bool = True) -> CorrelationReport:
     """Correlation report for the capped-occupation mode: the measures of
     the capped closed-form matrices, checked against those of the capped
-    tripartite state."""
+    tripartite state. Both routes raise ``TruncationError`` from the same r,
+    where the one-particle component keeps too little of its mass."""
     rv = _r_value(r, FieldKind.HARDCORE)
+    _require_one_particle_mass(rv, hc.cap)
     dv, do = truncation_deficits(rv, hc.cap)
     deficit = 0.0 if hc.mode == "renormalized" else (dv + do) / 2.0
     closed = bipartite_measures({bip: hardcore_rho(rv, hc, bip) for bip in Bipartition})

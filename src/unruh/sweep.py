@@ -17,8 +17,8 @@ from .fock import FieldKind
 from .report import CorrelationReport
 from .scalar import HardcoreConfig, TruncationConfig, hardcore_report, scalar_report
 
-CSV_HEADER = ("r,I_AR,I_ARbar,I_RRbar,N_AR,N_ARbar,N_RRbar,logN_RRbar,"
-              "trace_deficit,oracle_discrepancy")
+CSV_FIELDS = CorrelationReport.field_names()
+CSV_HEADER = ",".join(CSV_FIELDS)
 
 CHECK_NAMES = ("i-conservation", "n-conservation", "n-arbar-zero")
 
@@ -124,7 +124,7 @@ def format_value(x: float) -> str:
 
 def format_row(r: float, rep: CorrelationReport | None) -> str:
     if rep is None:
-        return ",".join([format_value(r)] + ["nan"] * 9)
+        return ",".join([format_value(r)] + ["nan"] * (len(CSV_FIELDS) - 1))
     return ",".join(format_value(v) for v in rep.as_row())
 
 
@@ -141,8 +141,7 @@ def read_csv_rows(path: str) -> list[dict]:
         lines = [ln.strip() for ln in f if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path} does not carry the sweep CSV header")
-    names = CSV_HEADER.split(",")
-    return [dict(zip(names, map(float, ln.split(",")))) for ln in lines[1:]]
+    return [dict(zip(CSV_FIELDS, map(float, ln.split(",")))) for ln in lines[1:]]
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:

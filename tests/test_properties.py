@@ -1,14 +1,19 @@
-"""Property tests with hypothesis over the hardcore-boson domain."""
+"""Property tests with hypothesis over the hardcore-boson domain and the
+scalar Rob-AntiRob bands; the profile is set in conftest.py."""
 
 import math
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, strategies as st  # noqa: E402
 
-from unruh.errors import TruncationError  # noqa: E402
-from unruh.scalar import HardcoreConfig, hardcore_report  # noqa: E402
+from unruh.errors import NotAStateError, TruncationError  # noqa: E402
+from unruh.fock import StateVector  # noqa: E402
+from unruh.scalar import (HardcoreConfig, TruncationConfig, hardcore_report,  # noqa: E402
+                          rrbar_bands, rrbar_block_constructive,
+                          scalar_tripartite_state)
 
 R = st.floats(min_value=0.0, max_value=25.0)
 
@@ -25,10 +30,32 @@ def _raises(r, hc, oracle) -> bool:
     return False
 
 
-@settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @given(cap=st.sampled_from((1, 2, 8, 16)), mode=st.sampled_from(HardcoreConfig.MODES),
        oracle=st.booleans(), rs=st.lists(R, min_size=2, max_size=8, unique=True))
 def test_hardcore_row_is_finite_until_it_raises_for_good(cap, mode, oracle, rs):
     hc = HardcoreConfig(cap=cap, mode=mode)
     raised = [_raises(r, hc, oracle) for r in sorted(rs)]
     assert raised == sorted(raised), sorted(rs)
+
+
+@given(r=st.floats(min_value=0.0, max_value=1.65), n_max=st.integers(1, 40),
+       data=st.data())
+def test_table_bands_are_the_dense_bands_and_reject_a_stray_amplitude(r, n_max, data):
+    psi = scalar_tripartite_state(r, TruncationConfig(n_max=n_max))
+    d_r, d_b = psi.dims[1:]
+    # blocks past d_r + d_b - 1 lie wholly beyond the cutoff and read 0
+    for d, (diag, off) in enumerate(rrbar_bands(psi, d_r + d_b + 2), start=1):
+        block = rrbar_block_constructive(psi, d)
+        assert diag.tobytes() == np.diag(block).tobytes(), (d, r, n_max)
+        assert off.tobytes() == np.diag(block, 1).tobytes(), (d, r, n_max)
+    # one amplitude anywhere off the offsets n - m in {0, 1}
+    a = data.draw(st.integers(0, 1))
+    n = data.draw(st.integers(0, d_r - 1))
+    m = data.draw(st.integers(0, d_b - 1).filter(lambda m: n - m not in (0, 1)))
+    eps = data.draw(st.floats(min_value=-1e-3, max_value=1e-3).filter(bool))
+    amps = psi.tensor().copy()
+    amps[a, n, m] = eps
+    amps *= math.sqrt(psi.norm2 / float(np.sum(amps * amps)))  # still a state
+    stray = StateVector(psi.basis, amps.ravel(), trace_deficit=psi.trace_deficit)
+    with pytest.raises(NotAStateError, match="off offsets 0 and 1"):
+        rrbar_bands(stray, 0)

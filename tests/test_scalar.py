@@ -15,7 +15,7 @@ from unruh.measures import (negativity, negativity_from_pt_eigenvalues,
 from unruh.scalar import (HardcoreConfig, TruncationConfig, hardcore_report,
                           hardcore_rho, hardcore_tripartite_state,
                           one_particle_tail, rapidity_scalar, resolve_n_max,
-                          rob_weight, rrbar_band_constructive, rrbar_block,
+                          rob_weight, rrbar_bands, rrbar_block,
                           rrbar_block_basis, rrbar_block_constructive,
                           rrbar_block_diagonals, rrbar_mirsky_bound,
                           scalar_closed_rho, scalar_constructive_measures,
@@ -408,9 +408,9 @@ def test_band_equals_dense_block_diagonals(r, n_max):
     psi = scalar_tripartite_state(r, TruncationConfig(n_max=n_max))
     d_r, d_b = psi.dims[1:]
     # blocks past d_r + d_b - 1 lie wholly beyond the cutoff and read 0
-    for d in range(1, d_r + d_b + 3):
+    bands = rrbar_bands(psi, d_r + d_b + 2)
+    for d, (diag, off) in enumerate(bands, start=1):
         block = rrbar_block_constructive(psi, d)
-        diag, off = rrbar_band_constructive(psi, d)
         assert diag.tobytes() == np.diag(block).tobytes()
         assert off.tobytes() == np.diag(block, 1).tobytes()
 
@@ -435,16 +435,6 @@ def _with_stray_amplitudes(psi, eps, labels):
     return StateVector(psi.basis, flat, trace_deficit=1.0 - float(flat @ flat))
 
 
-def _dense_blocks_tridiagonal(psi):
-    d_r, d_b = psi.dims[1:]
-    for d in range(2, d_r + d_b):
-        block = rrbar_block_constructive(psi, d)
-        off_band = np.triu(block, 2)
-        if np.max(np.abs(off_band)) > 1e-14 * max(1.0, np.max(np.abs(block))):
-            return False
-    return True
-
-
 @pytest.mark.parametrize("eps,labels", [
     (1e-3, [(0, 3, 1), (0, 5, 3)]),              # offset 2, one component
     (1e-3, [(0, 1, 3), (1, 4, 6)]),              # offset -2, split: no pair
@@ -453,22 +443,20 @@ def _dense_blocks_tridiagonal(psi):
     (1e-3, [(0, 4, 1)]),                         # a lone label sits on the diagonal
 ])
 def test_tridiagonality_check_matches_dense_blocks(eps, labels):
+    # the check is on the support, so it is stricter than the dense blocks:
+    # a pair split across Alice components, a 1e-16 product and a lone
+    # label leave every block tridiagonal to 1e-14, and they raise too
     psi = _with_stray_amplitudes(
         scalar_tripartite_state(0.6, TruncationConfig(n_max=8)), eps, labels)
-    if _dense_blocks_tridiagonal(psi):
-        scalar.check_rrbar_tridiagonal(psi)
-    else:
-        with pytest.raises(NotAStateError):
-            scalar.check_rrbar_tridiagonal(psi)
+    with pytest.raises(NotAStateError, match="off offsets 0 and 1"):
+        rrbar_bands(psi, 0)
 
 
 def _constructive_rrbar_negativity(psi, n_blocks):
     """Reference: negativity of blocks 1..n_blocks of the state's own
     Rob-AntiRob partial transpose, each block eigensolved."""
-    scalar.check_rrbar_tridiagonal(psi)
-    return sum(negativity_from_pt_eigenvalues(
-        tridiagonal_eigenvalues(*rrbar_band_constructive(psi, d)))
-        for d in range(1, n_blocks + 1))
+    return sum(negativity_from_pt_eigenvalues(tridiagonal_eigenvalues(diag, off))
+               for diag, off in rrbar_bands(psi, n_blocks))
 
 
 def _closed_blocks(r):
@@ -542,10 +530,10 @@ def test_mirsky_bound_counts_threshold_straddling():
     amps = np.zeros(tuple(b.dim for b in basis))
     amps[0, 0, 0], amps[0, 1, 1] = math.sqrt(1.0 - s * s), s
     psi = StateVector(basis, amps.ravel())
-    c = float(rrbar_band_constructive(psi, 2)[1][0])
+    bands = rrbar_bands(psi, 2)
+    one, c = bands[0][0], float(bands[1][1][0])
     assert tol < c < tol + 1e-13
     c_closed = c - 1e-13
-    one = rrbar_band_constructive(psi, 1)[0]
     blocks = [(one, np.zeros(0), one.copy()),
               (np.zeros(2), np.array([c_closed]), np.array([c_closed, -c_closed]))]
     closed = sum(negativity_from_pt_eigenvalues(e) for _, _, e in blocks)
@@ -769,8 +757,10 @@ def test_hardcore_report_oracle():
 def test_hardcore_large_r_rows_finite_or_typed(cap, mode):
     # past r ~ 8.6 the kept mass is below 1e-7, so computed as 1 - deficit
     # it would be off by more than the 1e-9 trace tolerance; and once a row
-    # raises TruncationError, every row at a larger r raises it too
+    # raises TruncationError, every row at a larger r raises it too; with
+    # and without the oracle, rows raise from the same r
     hc = HardcoreConfig(cap=cap, mode=mode)
+    first_error = {}
     for oracle in (False, True):
         finite, failed_at = 0, None
         for r in np.arange(40, 250) / 10.0:
@@ -784,6 +774,8 @@ def test_hardcore_large_r_rows_finite_or_typed(cap, mode):
                        for v in rep.as_row()[:-1]), (r, oracle)
             finite += 1
         assert finite > 0 and failed_at is not None
+        first_error[oracle] = failed_at
+    assert first_error[False] == first_error[True], first_error
 
 
 def test_oracle_allocation_is_bounded(monkeypatch):
@@ -800,6 +792,22 @@ def test_oracle_allocation_is_bounded(monkeypatch):
     with pytest.raises(TruncationError, match=r"r=1\.5 .* > 16777216"):
         scalar_report(1.5, cfg)
     assert scalar_report(1.5, cfg, oracle=False).N_ARbar == 0.0
+
+
+@pytest.mark.parametrize("build", [scalar_constructive_measures,
+                                   scalar_tripartite_state, scalar_vacuum])
+def test_state_allocation_is_bounded_for_every_caller(monkeypatch, build):
+    # the budget sits in the state builder, so a caller other than the
+    # report cannot allocate the (2, 3500, 3499) state at n_max = 3498
+    real_zeros = np.zeros
+
+    def bounded_zeros(shape, *args, **kwargs):
+        assert np.prod(shape) <= scalar.DENSE_ORDER_MAX ** 2, f"allocated {shape}"
+        return real_zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", bounded_zeros)
+    with pytest.raises(TruncationError, match=r"r=1\.5 .* 24493000 amplitudes > 16777216"):
+        build(1.5, TruncationConfig(tail_tol=1e-300))
 
 
 def test_hardcore_renormalized_past_the_old_trace_failure():

@@ -7,7 +7,7 @@ from unruh.cli import main
 from unruh.fock import FieldKind
 from unruh.report import CorrelationReport
 from unruh.sweep import (CSV_HEADER, SweepConfig, check_report, default_checks,
-                         figure_preset, format_value, read_csv_rows,
+                         figure_preset, format_row, format_value, read_csv_rows,
                          run_sweep)
 
 DIRAC_SMALL = SweepConfig(field_kind=FieldKind.DIRAC, r_min=0.0,
@@ -91,6 +91,14 @@ def test_csv_writing_and_roundtrip(tmp_path):
             reread = format_value(row[name])
             original = format_value(getattr(rep, name))
             assert reread == original
+
+
+def test_csv_schema_is_the_report_fields():
+    # the header is derived from CorrelationReport; its bytes stay fixed
+    assert CSV_HEADER == ("r,I_AR,I_ARbar,I_RRbar,N_AR,N_ARbar,N_RRbar,"
+                          "logN_RRbar,trace_deficit,oracle_discrepancy")
+    failed = format_row(0.25, None).split(",")
+    assert failed == [format_value(0.25)] + ["nan"] * 9
 
 
 def test_csv_byte_determinism(tmp_path):

@@ -15,8 +15,8 @@ class CorrelationReport:
 
     Mutual informations are in bits. ``oracle_discrepancy`` is the largest
     difference between the closed-form and constructive routes (for the
-    scalar N_RRbar, a proven upper bound on it), or NaN when the
-    constructive cross-check was skipped. ``trace_deficit`` is the
+    scalar and hardcore N_RRbar, a proven upper bound on it), or NaN when
+    the constructive cross-check was skipped. ``trace_deficit`` is the
     probability mass lost to Fock truncation (0 for Dirac).
     """
 
@@ -54,8 +54,8 @@ class CorrelationReport:
 
         ``constructive`` (None when the check is skipped) may omit a measure
         that it checks through ``bound`` instead, a proven upper bound on
-        that measure's difference (scalar N_RRbar). A discrepancy above
-        ``tol`` raises ``OracleMismatchError``.
+        that measure's difference (scalar and hardcore N_RRbar). A
+        discrepancy above ``tol`` raises ``OracleMismatchError``.
         """
         discrepancy = float("nan")
         if constructive is not None:

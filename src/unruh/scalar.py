@@ -23,7 +23,7 @@ from .errors import ConvergenceError, NotAStateError, TruncationError
 from .fock import (Bipartition, DensityMatrix, FieldKind, LabeledBasis,
                    SqueezingParam, StateVector, Subsystem, _r_value,
                    reduced_density_matrix)
-from .linalg import tridiagonal_eigenvalues
+from .linalg import sym_eigenvalues, tridiagonal_eigenvalues
 from .measures import (NEGATIVITY_ZERO_TOL, PSD_TOL, bipartite_measures,
                        mutual_informations, negativity_from_pt_eigenvalues)
 from .report import CorrelationReport
@@ -73,9 +73,11 @@ class HardcoreConfig:
     ``truncate_only`` keeps the raw truncated coefficients (trace < 1, the
     loss recorded as trace_deficit); ``renormalized`` rescales the pure
     state to unit norm first. Block positivity, hence the vanishing
-    Alice-AntiRob negativity, is invariant under that rescaling. The dense
-    Rob-AntiRob matrix has order (cap + 2)(cap + 1), at most
-    ``DENSE_ORDER_MAX``, so the cap is at most 62.
+    Alice-AntiRob negativity, is invariant under that rescaling. Reports
+    sum the Rob-AntiRob negativity over blocks of order at most 2 cap + 2;
+    only the public dense ``hardcore_rho(..., ROB_ANTIROB)`` has order
+    (cap + 2)(cap + 1), which must stay within ``DENSE_ORDER_MAX``, so the
+    cap is at most 62.
     """
 
     cap: int
@@ -148,6 +150,26 @@ def truncation_deficits(r, n_max: int) -> tuple[float, float]:
     return vacuum_tail(x, n_max), one_particle_tail(x, n_max)
 
 
+def _require_one_particle_mass(rv: float, cap: int) -> None:
+    """Raise ``TruncationError`` where the one-particle component capped at
+    squeezed-sum index ``cap`` keeps less than ``ONE_PARTICLE_MASS_FLOOR``
+    of its mass (from r = 10.4 at cap 1 to 11.4 at cap 16). The mass is
+    summed from its positive terms sech^4 r (n+1) tanh^2n r, so it falls
+    monotonically with r, unlike 1 - one_particle_tail. Every state and
+    closed-matrix builder applies this rule before it reads cosh r, which
+    overflows past r ~ 710."""
+    e = math.exp(-rv)
+    sech4 = (2 * e / (1 + e * e)) ** 4
+    if sech4 >= ONE_PARTICLE_MASS_FLOOR:
+        return  # the n = 0 term alone keeps enough
+    n = np.arange(cap + 1)
+    kept = float(np.sum(sech4 * (n + 1) * math.tanh(rv) ** (2 * n)))
+    if kept < ONE_PARTICLE_MASS_FLOOR:
+        raise TruncationError(
+            f"cap {cap} keeps a one-particle mass of {kept:.3e} at r={rv}, "
+            f"below {ONE_PARTICLE_MASS_FLOOR:.0e}")
+
+
 # ---------------------------------------------------------------------------
 # state builders
 # ---------------------------------------------------------------------------
@@ -162,13 +184,15 @@ def _component_amplitudes(rv: float, n_max: int) -> np.ndarray:
     """Flat Rob x AntiRob amplitudes: vacuum in row 0, one particle in row 1.
 
     Raises ``TruncationError`` before it allocates anything if they would
-    number more than DENSE_ORDER_MAX^2.
+    number more than DENSE_ORDER_MAX^2, or past the one-particle mass rule
+    (:func:`_require_one_particle_mass`).
     """
     rob, antirob = _bases(n_max)
     size = 2 * rob.dim * antirob.dim
     if size > DENSE_ORDER_MAX ** 2:
         raise TruncationError(f"the state at r={rv} with cutoff {n_max} would hold "
                               f"{size} amplitudes > {DENSE_ORDER_MAX ** 2}")
+    _require_one_particle_mass(rv, n_max)
     t, ch = math.tanh(rv), math.cosh(rv)
     amps = np.zeros((2, rob.dim, antirob.dim))
     n = np.arange(n_max + 1)
@@ -220,7 +244,9 @@ def scalar_tripartite_state(r, cfg: TruncationConfig = TruncationConfig(),
 
 def _closed_entries(rv: float, n_max: int,
                     bipartition: Bipartition) -> tuple[tuple, np.ndarray]:
-    """(basis, entries) of the truncated closed-form bipartite matrix."""
+    """(basis, entries) of the truncated closed-form bipartite matrix;
+    ``TruncationError`` past the one-particle mass rule."""
+    _require_one_particle_mass(rv, n_max)
     t, ch = math.tanh(rv), math.cosh(rv)
     alice = LabeledBasis.fock(Subsystem.ALICE, 1)
     rob, antirob = _bases(n_max)
@@ -413,13 +439,16 @@ def rrbar_block_diagonals(r, D: int) -> tuple[np.ndarray, np.ndarray]:
     return diag, a[:D - 1]
 
 
+def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Dense symmetric tridiagonal matrix from its two bands."""
+    m = np.diag(diag)
+    m.flat[1::diag.size + 1] = m.flat[diag.size::diag.size + 1] = off
+    return m
+
+
 def rrbar_block(r, D: int) -> np.ndarray:
     """Dense D x D Rob-AntiRob partial-transpose block."""
-    diag, off = rrbar_block_diagonals(r, D)
-    m = np.diag(diag)
-    for k in range(D - 1):
-        m[k, k + 1] = m[k + 1, k] = off[k]
-    return m
+    return _tridiagonal(*rrbar_block_diagonals(r, D))
 
 
 def rrbar_block_constructive(psi: StateVector, D: int) -> np.ndarray:
@@ -535,9 +564,10 @@ def rrbar_mirsky_bound(psi: StateVector, blocks) -> float:
     """Upper bound on |closed block sum - the same sum over the blocks of psi|.
 
     ``blocks`` are the closed blocks a sum used, as recorded by
-    :func:`scalar_negativity_RRbar`; each is compared with the band of the
-    same block read from the Gram tables of ``psi`` (:func:`rrbar_bands`),
-    so no constructive block is built or eigensolved. For blocks B and B'
+    :func:`scalar_negativity_RRbar` or :func:`hardcore_negativity_RRbar`;
+    each is compared with the band of the same block read from the Gram
+    tables of ``psi`` (:func:`rrbar_bands`), so no constructive block is
+    built or eigensolved. For blocks B and B'
     with eigenvalues sorted alike, Mirsky's inequality gives
     sum |l_i(B) - l_i(B')| <= ||B - B'||_1 <= sum |d diag| + 2 sum |d off|
     (each off-diagonal pair is a rank-2 piece of trace norm 2 |d off|).
@@ -562,23 +592,9 @@ def rrbar_mirsky_bound(psi: StateVector, blocks) -> float:
 # hardcore bosons
 # ---------------------------------------------------------------------------
 
-def _require_one_particle_mass(rv: float, cap: int) -> None:
-    """Raise ``TruncationError`` where the capped one-particle component
-    keeps less than ``ONE_PARTICLE_MASS_FLOOR`` of its mass (from r = 10.4
-    at cap 1 to 11.4 at cap 16). The mass is summed from its positive terms
-    sech^4 r (n+1) tanh^2n r, so it falls monotonically with r, unlike
-    1 - one_particle_tail."""
-    e, n = math.exp(-rv), np.arange(cap + 1)
-    sech4 = (2 * e / (1 + e * e)) ** 4  # 1 / cosh r overflows past r ~ 710
-    kept = float(np.sum(sech4 * (n + 1) * math.tanh(rv) ** (2 * n)))
-    if kept < ONE_PARTICLE_MASS_FLOOR:
-        raise TruncationError(
-            f"cap {cap} keeps a one-particle mass of {kept:.3e} at r={rv}, "
-            f"below {ONE_PARTICLE_MASS_FLOOR:.0e}")
-
-
 def hardcore_tripartite_state(r, hc: HardcoreConfig) -> StateVector:
-    """Capped-occupation tripartite state; cutoff pinned at the cap."""
+    """Capped-occupation tripartite state; cutoff pinned at the cap.
+    ``TruncationError`` past the one-particle mass rule."""
     cfg = TruncationConfig(n_max=hc.cap)
     return scalar_tripartite_state(r, cfg, renormalized=hc.mode == "renormalized")
 
@@ -590,12 +606,46 @@ def hardcore_rho(r, hc: HardcoreConfig, bipartition: Bipartition) -> DensityMatr
     ``renormalized`` rescales by the kept mass so the trace is one. The kept
     mass is the trace of the unscaled matrix, a sum of positive terms, not
     1 - deficit, which cancels badly once the deficit nears 1.
+    ``TruncationError`` past the one-particle mass rule.
     """
     rv = _r_value(r, FieldKind.SCALAR)
     if hc.mode == "renormalized":
         basis, m = _closed_entries(rv, hc.cap, bipartition)
         return DensityMatrix(basis, m / np.trace(m))
     return _closed_rho(rv, hc.cap, bipartition)
+
+
+def hardcore_negativity_RRbar(r, hc: HardcoreConfig, blocks: list | None = None) -> float:
+    """Rob-AntiRob negativity of the capped mode: the sum over the scalar
+    partial-transpose blocks D = 1..2 cap + 2 (:func:`rrbar_block_diagonals`)
+    with every coupling past the cap set to zero; later blocks lie wholly
+    past it.
+
+    Position 2i of block D pairs (i, i) with (D-1-i, D-1-i), position 2j+1
+    pairs (j+1, j) with (D-1-j, D-2-j); in these blocks only the second
+    squeezed-sum index can pass the cap, so the positions below
+    2(D-1-cap)-1 are dropped. ``renormalized`` divides by the kept mass,
+    the sum of the block traces. Blocks are eigensolved by numpy, never
+    scipy. ``blocks`` as in :func:`scalar_negativity_RRbar`;
+    ``TruncationError`` past the one-particle mass rule.
+    """
+    rv = _r_value(r, FieldKind.HARDCORE)
+    _require_one_particle_mass(rv, hc.cap)
+    bands = []
+    for D in range(1, 2 * hc.cap + 3):
+        diag, off = rrbar_block_diagonals(rv, D)
+        off[:max(0, 2 * (D - 1 - hc.cap) - 1)] = 0.0
+        bands.append((diag, off))
+    if hc.mode == "renormalized":
+        mass = sum(float(diag[-1]) for diag, _ in bands)
+        bands = [(diag / mass, off / mass) for diag, off in bands]
+    total = 0.0
+    for diag, off in bands:
+        eigs = sym_eigenvalues(_tridiagonal(diag, off))
+        if blocks is not None:
+            blocks.append((diag, off, eigs))
+        total += negativity_from_pt_eigenvalues(eigs)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -674,18 +724,28 @@ def scalar_report(r, cfg: TruncationConfig = TruncationConfig(),
 
 
 def hardcore_report(r, hc: HardcoreConfig, oracle: bool = True) -> CorrelationReport:
-    """Correlation report for the capped-occupation mode: the measures of
-    the capped closed-form matrices, checked against those of the capped
-    tripartite state. Both routes raise ``TruncationError`` from the same r,
-    where the one-particle component keeps too little of its mass."""
+    """Correlation report for the capped-occupation mode.
+
+    The closed route takes five measures from the capped closed-form
+    Alice-Rob and Alice-AntiRob matrices and N_RRbar from
+    :func:`hardcore_negativity_RRbar`; the oracle recomputes the five from
+    the capped tripartite state and bounds N_RRbar by
+    :func:`rrbar_mirsky_bound` against that state's bands, as
+    :func:`scalar_report` does. No Rob-AntiRob matrix is built. Every
+    builder applies the one-particle mass rule, so both routes raise
+    ``TruncationError`` from the same r.
+    """
     rv = _r_value(r, FieldKind.HARDCORE)
-    _require_one_particle_mass(rv, hc.cap)
     dv, do = truncation_deficits(rv, hc.cap)
     deficit = 0.0 if hc.mode == "renormalized" else (dv + do) / 2.0
-    closed = bipartite_measures({bip: hardcore_rho(rv, hc, bip) for bip in Bipartition})
-    constructive = None
+    closed = bipartite_measures({bip: hardcore_rho(rv, hc, bip) for bip in
+                                 (Bipartition.ALICE_ROB, Bipartition.ALICE_ANTIROB)})
+    blocks = [] if oracle else None
+    closed["N_RRbar"] = hardcore_negativity_RRbar(rv, hc, blocks)
+    constructive, bound = None, 0.0
     if oracle:
         psi = hardcore_tripartite_state(rv, hc)
-        constructive = bipartite_measures(
-            {bip: reduced_density_matrix(psi, bip.kept) for bip in Bipartition})
-    return CorrelationReport.from_routes(rv, closed, constructive, deficit, ORACLE_TOL)
+        bound = rrbar_mirsky_bound(psi, blocks)
+        constructive = scalar_constructive_measures(rv, TruncationConfig(n_max=hc.cap), psi)
+    return CorrelationReport.from_routes(rv, closed, constructive, deficit, ORACLE_TOL,
+                                         bound)

@@ -80,7 +80,8 @@ def test_tridiagonal_failures_are_typed():
 
 def test_import_does_not_load_scipy():
     # scipy is only needed by the tridiagonal path, imported on first use;
-    # Dirac and hardcore reports, oracle included, never reach it
+    # Dirac and hardcore reports, oracle included, never reach it: the
+    # hardcore Rob-AntiRob blocks, 34 of them at cap 16, go to numpy
     import unruh
     src = os.path.dirname(os.path.dirname(unruh.__file__))
     env = dict(os.environ)
@@ -88,6 +89,7 @@ def test_import_does_not_load_scipy():
     code = ("import sys, unruh; "
             "unruh.dirac_report(0.3); "
             "unruh.hardcore_report(0.3, unruh.HardcoreConfig(cap=2)); "
+            "unruh.hardcore_report(1.3, unruh.HardcoreConfig(cap=16, mode='renormalized')); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

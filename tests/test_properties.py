@@ -1,5 +1,6 @@
-"""Property tests with hypothesis over the hardcore-boson domain and the
-scalar Rob-AntiRob bands; the profile is set in conftest.py."""
+"""Property tests with hypothesis over the hardcore-boson domain, its
+Rob-AntiRob blocks and the scalar Rob-AntiRob bands; the profile is set in
+conftest.py."""
 
 import math
 
@@ -10,9 +11,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from unruh.errors import NotAStateError, TruncationError  # noqa: E402
-from unruh.fock import StateVector  # noqa: E402
+from unruh.fock import Bipartition, StateVector, Subsystem  # noqa: E402
+from unruh.measures import negativity  # noqa: E402
 from unruh.scalar import (HardcoreConfig, TruncationConfig, hardcore_report,  # noqa: E402
-                          rrbar_bands, rrbar_block_constructive,
+                          hardcore_rho, rrbar_bands, rrbar_block_constructive,
                           scalar_tripartite_state)
 
 R = st.floats(min_value=0.0, max_value=25.0)
@@ -36,6 +38,16 @@ def test_hardcore_row_is_finite_until_it_raises_for_good(cap, mode, oracle, rs):
     hc = HardcoreConfig(cap=cap, mode=mode)
     raised = [_raises(r, hc, oracle) for r in sorted(rs)]
     assert raised == sorted(raised), sorted(rs)
+
+
+@given(cap=st.sampled_from((1, 2, 8, 16)), mode=st.sampled_from(HardcoreConfig.MODES),
+       r=st.floats(min_value=0.0, max_value=10.0))
+def test_hardcore_block_negativity_is_the_dense_one(cap, mode, r):
+    hc = HardcoreConfig(cap=cap, mode=mode)
+    rep = hardcore_report(r, hc)
+    dense = negativity(hardcore_rho(r, hc, Bipartition.ROB_ANTIROB), Subsystem.ANTIROB)
+    assert abs(rep.N_RRbar - dense) <= 1e-12, (rep.N_RRbar, dense)
+    assert rep.oracle_discrepancy <= 1e-9
 
 
 @given(r=st.floats(min_value=0.0, max_value=1.65), n_max=st.integers(1, 40),

@@ -759,8 +759,8 @@ def test_hardcore_large_r_rows_finite_or_typed(cap, mode):
     # it would be off by more than the 1e-9 trace tolerance; and once a row
     # raises TruncationError, every row at a larger r raises it too; with
     # and without the oracle, rows raise from the same r
+    first_error = {1: 10.4, 2: 10.6, 8: 11.1, 16: 11.4}[cap]
     hc = HardcoreConfig(cap=cap, mode=mode)
-    first_error = {}
     for oracle in (False, True):
         finite, failed_at = 0, None
         for r in np.arange(40, 250) / 10.0:
@@ -773,9 +773,62 @@ def test_hardcore_large_r_rows_finite_or_typed(cap, mode):
             assert all(math.isfinite(v) and v >= 0.0
                        for v in rep.as_row()[:-1]), (r, oracle)
             finite += 1
-        assert finite > 0 and failed_at is not None
-        first_error[oracle] = failed_at
-    assert first_error[False] == first_error[True], first_error
+        assert finite > 0 and failed_at == first_error, (oracle, failed_at)
+
+
+@pytest.mark.parametrize("build, r", [
+    pytest.param(lambda r, hc: hardcore_rho(r, hc, Bipartition.ALICE_ROB), 19.5,
+                 id="rho_AR-19.5"),
+    pytest.param(lambda r, hc: hardcore_rho(r, hc, Bipartition.ROB_ANTIROB), 800.0,
+                 id="rho_RRbar-800"),
+    pytest.param(hardcore_tripartite_state, 19.5, id="state-19.5"),
+    pytest.param(hardcore_tripartite_state, 800.0, id="state-800"),
+])
+@pytest.mark.parametrize("mode", HardcoreConfig.MODES)
+def test_builders_past_the_mass_rule_raise_a_typed_error(build, r, mode):
+    # called directly, past the row rule, the builders raised a raw
+    # ValueError (deficit 1) or, past r ~ 710, OverflowError from cosh r
+    with pytest.raises(TruncationError, match=rf"cap 2 .*r={r}"):
+        build(r, HardcoreConfig(cap=2, mode=mode))
+
+
+@pytest.mark.parametrize("build", [scalar_tripartite_state, scalar_vacuum,
+                                   scalar_one_particle])
+def test_pinned_cutoff_state_past_float_range_is_a_typed_error(build):
+    with pytest.raises(TruncationError, match=r"cap 3 .*r=720\.0"):
+        build(720, TruncationConfig(n_max=3))
+    with pytest.raises(TruncationError, match=r"cap 3 .*r=19\.5"):
+        build(19.5, TruncationConfig(n_max=3))
+
+
+@pytest.mark.parametrize("cap", [2, 16])
+@pytest.mark.parametrize("mode", HardcoreConfig.MODES)
+def test_hardcore_report_eigensolves_nothing_above_alice_rob(monkeypatch, cap, mode):
+    # the largest matrix a report may eigensolve is the Alice-Rob partial
+    # transpose, of order 2(cap + 2); the Rob-AntiRob blocks stay below it
+    eigvalsh = np.linalg.eigvalsh
+
+    def bounded(a, *args, **kwargs):
+        assert a.shape[-1] <= 2 * (cap + 2), f"eigensolved order {a.shape[-1]}"
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", bounded)
+    rep = hardcore_report(1.3, HardcoreConfig(cap=cap, mode=mode))
+    assert rep.N_RRbar > 0.0 and rep.oracle_discrepancy <= 1e-9
+
+
+def test_hardcore_oracle_catches_a_perturbed_coupling(monkeypatch):
+    bands = scalar.rrbar_bands
+
+    def perturbed(psi, n_blocks):
+        out = bands(psi, n_blocks)
+        out[3][1][1] *= 1.0 + 1e-6  # block D = 4, position 1
+        return out
+
+    monkeypatch.setattr(scalar, "rrbar_bands", perturbed)
+    with pytest.raises(OracleMismatchError) as err:
+        hardcore_report(0.9, HardcoreConfig(cap=2))
+    assert err.value.discrepancy > 1e-9
 
 
 def test_oracle_allocation_is_bounded(monkeypatch):

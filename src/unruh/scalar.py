@@ -21,11 +21,11 @@ import numpy as np
 
 from .errors import ConvergenceError, NotAStateError, TruncationError
 from .fock import (Bipartition, DensityMatrix, FieldKind, LabeledBasis,
-                   SqueezingParam, StateVector, Subsystem, _r_value,
-                   reduced_density_matrix)
-from .linalg import sym_eigenvalues, tridiagonal_eigenvalues
+                   SqueezingParam, StateVector, Subsystem, _r_value)
+from .linalg import tridiagonal_eigenvalues
 from .measures import (NEGATIVITY_ZERO_TOL, PSD_TOL, bipartite_measures,
-                       mutual_informations, negativity_from_pt_eigenvalues)
+                       entropy_from_eigenvalues, mutual_informations,
+                       negativity_from_pt_eigenvalues)
 from .report import CorrelationReport
 
 ORACLE_TOL = 1e-9
@@ -353,19 +353,39 @@ def scalar_entropies(r, cfg: TruncationConfig = TruncationConfig()) -> Subsystem
 # negativities
 # ---------------------------------------------------------------------------
 
+def _cosh(rv: float, power: int = 1) -> float:
+    """cosh^power r; ``TruncationError`` naming r where it overflows (cosh r
+    from r = 710.48, cosh^4 r from r = 178.14)."""
+    try:
+        return math.cosh(rv) ** power
+    except OverflowError:
+        raise TruncationError(f"cosh^{power} r overflows double precision "
+                              f"at r={rv}") from None
+
+
+def _smaller_eigenvalues(p, q, b):
+    """Smaller eigenvalue of each symmetric 2x2 block [[p, b], [b, q]]."""
+    return (p + q) / 2 - np.hypot((p - q) / 2, b)
+
+
 def scalar_negativity_AR(r, cfg: TruncationConfig = TruncationConfig()) -> float:
     """Alice-Rob negativity as a series over partial-transpose blocks.
 
     Each 2x2 block of the partial transpose contributes one non-positive
     eigenvalue; terms are summed until both the term and its geometric tail
     bound drop below tail_tol. Starts at 1/2 in the inertial limit and
-    decays to zero with acceleration.
+    decays to zero with acceleration. Raises ``TruncationError`` from
+    r ~ 19.06, where tanh^2 r rounds to 1 and the tail has no bound.
     """
     rv = _r_value(r, FieldKind.SCALAR)
     if rv == 0.0:
         return 0.5
-    t, ch, sh = math.tanh(rv), math.cosh(rv), math.sinh(rv)
+    t = math.tanh(rv)
     x = t * t
+    if x == 1.0:
+        raise TruncationError(f"tanh^2 r rounds to 1 at r={rv}: the Alice-Rob "
+                              f"negativity series has no tail bound")
+    ch, sh = math.cosh(rv), math.sinh(rv)
     total = 0.0
     n = 0
     while True:
@@ -392,10 +412,10 @@ def scalar_negativity_ARbar(r, cfg: TruncationConfig = TruncationConfig()) -> fl
     """
     rv = _r_value(r, FieldKind.SCALAR)
     n = np.arange(resolve_n_max(rv, cfg))
-    t, ch = math.tanh(rv), math.cosh(rv)
+    t, ch, ch2 = math.tanh(rv), _cosh(rv), _cosh(rv, 2)
     b = np.sqrt(n + 1) * t / ch
-    c = (n + 2) * t * t / ch ** 2
-    low = t ** (2 * n) / (2 * ch ** 2) * ((1.0 + c) / 2 - np.hypot((1.0 - c) / 2, b))
+    c = (n + 2) * t * t / ch2
+    low = t ** (2 * n) / (2 * ch2) * _smaller_eigenvalues(1.0, c, b)
     if float(low.min()) < -PSD_TOL:
         raise NotAStateError(
             f"Alice-AntiRob partial-transpose block {int(low.argmin())} has "
@@ -424,16 +444,17 @@ def rrbar_block_diagonals(r, D: int) -> tuple[np.ndarray, np.ndarray]:
     The diagonal vanishes except for its last entry; couplings alternate
     between tanh^(D-1)/(2 cosh^2) (odd positions) and
     sqrt((D-l) l) tanh^(D-2)/(2 cosh^4) (even positions 2l).
+    ``TruncationError`` from r = 178.14, where cosh^4 r overflows.
     """
     if D < 1:
         raise ValueError(f"block dimension must be >= 1, got {D}")
     rv = _r_value(r, FieldKind.SCALAR)
-    t, ch = math.tanh(rv), math.cosh(rv)
+    t, ch2, ch4 = math.tanh(rv), _cosh(rv, 2), _cosh(rv, 4)
     a = np.empty(D)  # a[ell - 1] is the coupling at position ell
-    a[0::2] = t ** (D - 1) / (2 * ch ** 2)
+    a[0::2] = t ** (D - 1) / (2 * ch2)
     if D >= 2:
         l = np.arange(1, D // 2 + 1)
-        a[1::2] = np.sqrt((D - l) * l) * t ** (D - 2) / (2 * ch ** 4)
+        a[1::2] = np.sqrt((D - l) * l) * t ** (D - 2) / (2 * ch4)
     diag = np.zeros(D)
     diag[D - 1] = a[D - 1]
     return diag, a[:D - 1]
@@ -479,6 +500,33 @@ def _alice_rob_antirob_tensor(psi: StateVector) -> np.ndarray:
     return psi.tensor()
 
 
+def scalar_diagonals(psi: StateVector, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(v0, v1) with v0[m] = psi[0, m, m] and v1[m] = psi[1, m+1, m], of
+    length ``size`` (zero past the state's axes), where the scalar and
+    hardcore states hold all their amplitudes. One support check per Alice
+    row raises ``NotAStateError`` on any amplitude elsewhere.
+    """
+    tensor = _alice_rob_antirob_tensor(psi)
+    v = np.zeros((2, size))
+    for a, row in enumerate(tensor):
+        on = np.diagonal(row, -a) if a < 2 else np.zeros(0)
+        if np.count_nonzero(row) != np.count_nonzero(on):
+            n, m = np.nonzero(row)
+            k = np.flatnonzero((n - m != a) | (a >= 2))[0]
+            raise NotAStateError(
+                f"amplitude on alice {a}, rob {n[k]}, antirob {m[k]} lies off "
+                f"offsets 0 and 1 (alice 0 on rob = antirob, alice 1 on "
+                f"rob = antirob + 1): not a scalar-form state")
+        if a < 2:
+            v[a, :min(size, on.size)] = on[:size]
+    return v[0], v[1]
+
+
+def _block_starts(n_blocks: int) -> np.ndarray:
+    """Offset of block D = 1..n_blocks in the blocks' concatenated positions."""
+    return np.arange(n_blocks) * np.arange(1, n_blocks + 1) // 2
+
+
 def rrbar_bands(psi: StateVector, n_blocks: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """(diagonal, off-diagonal) of the Rob-AntiRob partial-transpose blocks
     D = 1..n_blocks of ``psi``, block D at index D - 1, equal bitwise to
@@ -487,43 +535,26 @@ def rrbar_bands(psi: StateVector, n_blocks: int) -> list[tuple[np.ndarray, np.nd
     Entry (i, j) of block D is sum_a psi[a, n_i, m_j] psi[a, n_j, m_i].
     With n_i + m_i = n_j + m_j = D - 1 both labels lie on one offset n - m,
     and on offsets 0 and 1, where the scalar state lives, every such pair
-    falls on the band. So a state with amplitudes on those offsets only has
-    tridiagonal blocks, whose couplings are two Gram tables over the Alice
-    axis, U[i, j] = sum_a psi[a, i, i] psi[a, j, j] and
-    Y[i, j] = sum_a psi[a, i+1, i] psi[a, j+1, j]: position 2i of block D
-    holds U[i, D-1-i] and position 2j+1 holds Y[j, D-2-j], the last of
-    them on the diagonal, every other entry zero. Raises ``NotAStateError``
-    if any amplitude lies off offsets 0 and 1, so it covers every block,
-    not only those asked for.
+    falls on the band. So the blocks are tridiagonal and read off the
+    state's two diagonals (:func:`scalar_diagonals`), all at once: position
+    2i of block D holds v0[i] v0[D-1-i] and position 2j+1 holds
+    v1[j] v1[D-2-j], the last position on the diagonal. Raises
+    ``NotAStateError`` on any amplitude off those diagonals, so the check
+    covers every block, not only those asked for.
     """
-    tensor = _alice_rob_antirob_tensor(psi)
-    _, n, m = np.nonzero(tensor)
-    stray = np.flatnonzero((n != m) & (n != m + 1))
-    if stray.size:
-        k = stray[0]
-        raise NotAStateError(
-            f"amplitude on rob {n[k]}, antirob {m[k]} lies off offsets 0 and 1: "
-            f"the Rob-AntiRob partial-transpose blocks are not tridiagonal")
-    tables = []
-    for offset in (0, -1):
-        amps = np.zeros((tensor.shape[0], n_blocks))  # zero past the cutoff
-        on = np.diagonal(tensor, offset, 1, 2)[:, :n_blocks]
-        amps[:, :on.shape[1]] = on
-        # summed in the dense block's order, so the two agree bitwise
-        table = np.zeros((n_blocks, n_blocks))
-        for g in amps:
-            table += np.outer(g, g)
-        tables.append(table[:, ::-1])  # block D reads one diagonal
-    u, y = tables
-    bands = []
-    for D in range(1, n_blocks + 1):
-        a = np.empty(D)  # a[ell] is the coupling at position ell
-        a[0::2] = np.diagonal(u, n_blocks - D)[:(D + 1) // 2]
-        a[1::2] = np.diagonal(y, n_blocks - D + 1)[:D // 2]
-        diag = np.zeros(D)
-        diag[D - 1] = a[D - 1]
-        bands.append((diag, a[:D - 1]))
-    return bands
+    v0, v1 = scalar_diagonals(psi, n_blocks)
+    starts = _block_starts(n_blocks)
+    size = np.arange(1, n_blocks + 1)
+    block = np.repeat(size, size)          # D of each position
+    ell = np.arange(block.size) - np.repeat(starts, size)
+    i = ell // 2
+    a = np.where(ell % 2 == 0, v0[i] * v0[block - 1 - i],
+                 v1[i] * v1[np.maximum(block - 2 - i, 0)])
+    a += 0.0  # the dense block sums from zero, so a -0.0 product reads +0.0
+    last = starts + size - 1
+    diag = np.zeros(block.size)
+    diag[last] = a[last]
+    return [(diag[s:e], a[s:e - 1]) for s, e in zip(starts.tolist(), (last + 1).tolist())]
 
 
 def scalar_negativity_RRbar(r, cfg: TruncationConfig = TruncationConfig(),
@@ -565,8 +596,8 @@ def rrbar_mirsky_bound(psi: StateVector, blocks) -> float:
 
     ``blocks`` are the closed blocks a sum used, as recorded by
     :func:`scalar_negativity_RRbar` or :func:`hardcore_negativity_RRbar`;
-    each is compared with the band of the same block read from the Gram
-    tables of ``psi`` (:func:`rrbar_bands`), so no constructive block is
+    each is compared with the band of the same block read off the two
+    diagonals of ``psi`` (:func:`rrbar_bands`), so no constructive block is
     built or eigensolved. For blocks B and B'
     with eigenvalues sorted alike, Mirsky's inequality gives
     sum |l_i(B) - l_i(B')| <= ||B - B'||_1 <= sum |d diag| + 2 sum |d off|
@@ -574,18 +605,25 @@ def rrbar_mirsky_bound(psi: StateVector, blocks) -> float:
     Negativity drops eigenvalues in [-tol, 0), tol = NEGATIVITY_ZERO_TOL,
     so a pair can differ by tol more only if it straddles -tol, which puts
     the closed eigenvalue within the band distance of -tol; each such
-    eigenvalue adds tol. Blocks after the last one recorded are not
-    compared. Raises ``NotAStateError`` if any amplitude of ``psi`` lies
-    off the offsets 0 and 1 that make every block tridiagonal.
+    eigenvalue adds tol. All blocks are summed at once. Blocks after the
+    last one recorded are not compared. Raises ``NotAStateError`` if any
+    amplitude of ``psi`` lies off the diagonals that make every block
+    tridiagonal.
     """
-    bound = 0.0
-    for (diag, off, eigs), (built_diag, built_off) in zip(
-            blocks, rrbar_bands(psi, len(blocks))):
-        dist = float(np.abs(diag - built_diag).sum()
-                     + 2.0 * np.abs(off - built_off).sum())
-        straddling = np.count_nonzero(np.abs(eigs + NEGATIVITY_ZERO_TOL) <= dist)
-        bound += dist + NEGATIVITY_ZERO_TOL * straddling
-    return bound
+    bands = rrbar_bands(psi, len(blocks))  # checks the support, blocks or none
+    if not blocks:
+        return 0.0
+    diag, off, eigs = (np.concatenate(part) for part in zip(*blocks))
+    built_diag, built_off = (np.concatenate(part) for part in zip(*bands))
+    starts, size = _block_starts(len(blocks)), np.arange(1, len(blocks) + 1)
+    # position ell < D - 1 of block D carries its off-diagonal entry ell
+    has_off = np.ones(diag.size, dtype=bool)
+    has_off[starts + size - 1] = False
+    gap = np.abs(diag - built_diag)
+    gap[has_off] += 2.0 * np.abs(off - built_off)
+    dist = np.add.reduceat(gap, starts)
+    straddling = np.abs(eigs + NEGATIVITY_ZERO_TOL) <= np.repeat(dist, size)
+    return float(dist.sum() + NEGATIVITY_ZERO_TOL * np.count_nonzero(straddling))
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +664,8 @@ def hardcore_negativity_RRbar(r, hc: HardcoreConfig, blocks: list | None = None)
     squeezed-sum index can pass the cap, so the positions below
     2(D-1-cap)-1 are dropped. ``renormalized`` divides by the kept mass,
     the sum of the block traces. Blocks are eigensolved by numpy, never
-    scipy. ``blocks`` as in :func:`scalar_negativity_RRbar`;
+    scipy, and with no symmetry check: they are symmetric by construction.
+    ``blocks`` as in :func:`scalar_negativity_RRbar`;
     ``TruncationError`` past the one-particle mass rule.
     """
     rv = _r_value(r, FieldKind.HARDCORE)
@@ -641,7 +680,7 @@ def hardcore_negativity_RRbar(r, hc: HardcoreConfig, blocks: list | None = None)
         bands = [(diag / mass, off / mass) for diag, off in bands]
     total = 0.0
     for diag, off in bands:
-        eigs = sym_eigenvalues(_tridiagonal(diag, off))
+        eigs = np.linalg.eigvalsh(_tridiagonal(diag, off))[::-1]
         if blocks is not None:
             blocks.append((diag, off, eigs))
         total += negativity_from_pt_eigenvalues(eigs)
@@ -666,19 +705,32 @@ def scalar_closed_measures(r, cfg: TruncationConfig,
 
 def scalar_constructive_measures(r, cfg: TruncationConfig,
                                  psi: StateVector | None = None) -> dict:
-    """Every measure but N_RRbar, by :func:`bipartite_measures` over the
-    Alice-Rob and Alice-AntiRob reductions of the truncated state ``psi``
-    (built at ``cfg`` if not given); :func:`rrbar_mirsky_bound` checks
-    N_RRbar instead.
+    """Every measure but N_RRbar, read off the two diagonals of the
+    truncated state ``psi`` (built at ``cfg`` if not given;
+    :func:`scalar_diagonals`); :func:`rrbar_mirsky_bound` checks N_RRbar.
 
-    Raises ``NotAStateError`` if the Alice-AntiRob negativity exceeds 1e-10,
-    which the closed form proves to vanish.
+    Alice's, Rob's and AntiRob's states are diagonal, and the Alice-Rob
+    and Alice-AntiRob partial transposes are direct sums of 2x2 blocks
+    with closed-form eigenvalues, so nothing is eigensolved; the dense
+    reductions through :func:`bipartite_measures` are the tests' reference.
+    Raises ``NotAStateError`` on an amplitude off the diagonals, or if the
+    Alice-AntiRob negativity, which the closed form proves to vanish,
+    exceeds 1e-10.
     """
     rv = _r_value(r, FieldKind.SCALAR)
     if psi is None:
         psi = scalar_tripartite_state(rv, cfg)
-    out = bipartite_measures({bip: reduced_density_matrix(psi, bip.kept) for bip in
-                              (Bipartition.ALICE_ROB, Bipartition.ALICE_ANTIROB)})
+    # one zero past both axes, so every shifted read below stays in range
+    v0, v1 = scalar_diagonals(psi, max(psi.dims[1:]) + 1)
+    p0, p1 = v0 * v0, v1 * v1
+    out = mutual_informations(
+        entropy_from_eigenvalues([p0.sum(), p1.sum()]),
+        entropy_from_eigenvalues(p0 + np.concatenate(([0.0], p1[:-1]))),
+        entropy_from_eigenvalues(p0 + p1))
+    out["N_AR"] = negativity_from_pt_eigenvalues(_smaller_eigenvalues(
+        p0[1:], np.concatenate(([0.0], p1[:-2])), v0[:-1] * v1[:-1]))
+    out["N_ARbar"] = negativity_from_pt_eigenvalues(_smaller_eigenvalues(
+        p0[:-1], p1[1:], v0[1:] * v1[:-1]))
     if out["N_ARbar"] > PSD_TOL:
         raise NotAStateError(
             f"constructive Alice-AntiRob partial transpose has negativity "
@@ -692,13 +744,14 @@ def scalar_report(r, cfg: TruncationConfig = TruncationConfig(),
 
     The reported values come from the series/block closed forms; with
     ``oracle`` enabled they are cross-checked against the truncated
-    constructive state: five measures are recomputed from it, and for
-    N_RRbar the discrepancy is the bound of :func:`rrbar_mirsky_bound`,
-    which compares the blocks the closed sum used with the bands of the
-    state's Gram tables. Block entries decay like tanh^(n+m) rather than
-    tanh^(2n), so they are read from a state truncated at twice the
-    adaptive cutoff, which keeps their amplitude-level tail below tail_tol
-    too.
+    constructive state: five measures are read off its two diagonals
+    (:func:`scalar_constructive_measures`), and for N_RRbar the
+    discrepancy is the bound of :func:`rrbar_mirsky_bound`, which compares
+    the blocks the closed sum used with the bands read off the diagonals
+    of a deeper state; the oracle eigensolves nothing. Block entries decay
+    like tanh^(n+m) rather than tanh^(2n), so they are read from a state
+    truncated at twice the adaptive cutoff, which keeps their
+    amplitude-level tail below tail_tol too.
 
     The allowed discrepancy is 1e-9 at the default truncation and scales
     with a loosened tail_tol, since the dropped tail shifts the constructive
@@ -728,10 +781,12 @@ def hardcore_report(r, hc: HardcoreConfig, oracle: bool = True) -> CorrelationRe
 
     The closed route takes five measures from the capped closed-form
     Alice-Rob and Alice-AntiRob matrices and N_RRbar from
-    :func:`hardcore_negativity_RRbar`; the oracle recomputes the five from
-    the capped tripartite state and bounds N_RRbar by
-    :func:`rrbar_mirsky_bound` against that state's bands, as
-    :func:`scalar_report` does. No Rob-AntiRob matrix is built. Every
+    :func:`hardcore_negativity_RRbar`; the oracle reads the five off the
+    two diagonals of the capped tripartite state
+    (:func:`scalar_constructive_measures`) and bounds N_RRbar by
+    :func:`rrbar_mirsky_bound` against the bands read off the same
+    diagonals, as :func:`scalar_report` does. No Rob-AntiRob matrix is
+    built, and the oracle eigensolves nothing. Every
     builder applies the one-particle mass rule, so both routes raise
     ``TruncationError`` from the same r.
     """

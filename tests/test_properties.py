@@ -1,6 +1,7 @@
 """Property tests with hypothesis over the hardcore-boson domain, its
-Rob-AntiRob blocks and the scalar Rob-AntiRob bands; the profile is set in
-conftest.py."""
+Rob-AntiRob blocks, the scalar Rob-AntiRob bands and the oracle's read of
+the state's two diagonals against the dense reductions; the profile is set
+in conftest.py."""
 
 import math
 
@@ -11,10 +12,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from unruh.errors import NotAStateError, TruncationError  # noqa: E402
-from unruh.fock import Bipartition, StateVector, Subsystem  # noqa: E402
-from unruh.measures import negativity  # noqa: E402
+from unruh.fock import (Bipartition, StateVector, Subsystem,  # noqa: E402
+                        reduced_density_matrix)
+from unruh.measures import bipartite_measures, negativity  # noqa: E402
 from unruh.scalar import (HardcoreConfig, TruncationConfig, hardcore_report,  # noqa: E402
-                          hardcore_rho, rrbar_bands, rrbar_block_constructive,
+                          hardcore_rho, hardcore_tripartite_state, rrbar_bands,
+                          rrbar_block_constructive, scalar_constructive_measures,
                           scalar_tripartite_state)
 
 R = st.floats(min_value=0.0, max_value=25.0)
@@ -71,3 +74,35 @@ def test_table_bands_are_the_dense_bands_and_reject_a_stray_amplitude(r, n_max, 
     stray = StateVector(psi.basis, amps.ravel(), trace_deficit=psi.trace_deficit)
     with pytest.raises(NotAStateError, match="off offsets 0 and 1"):
         rrbar_bands(stray, 0)
+
+
+def _dense_measures(psi):
+    """The reference five measures: dense reductions of ``psi``, eigensolved."""
+    return bipartite_measures({bip: reduced_density_matrix(psi, bip.kept) for bip in
+                               (Bipartition.ALICE_ROB, Bipartition.ALICE_ANTIROB)})
+
+
+def _assert_diagonal_read_is_dense(r, cfg, psi):
+    got = scalar_constructive_measures(r, cfg, psi)
+    want = _dense_measures(psi)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert abs(got[key] - want[key]) <= 1e-14, (key, got[key], want[key])
+
+
+@given(r=st.floats(min_value=0.0, max_value=1.65), n_max=st.integers(1, 40))
+def test_scalar_diagonal_read_is_the_dense_oracle(r, n_max):
+    cfg = TruncationConfig(n_max=n_max)
+    _assert_diagonal_read_is_dense(r, cfg, scalar_tripartite_state(r, cfg))
+
+
+@given(cap=st.sampled_from((1, 2, 8, 16)), mode=st.sampled_from(HardcoreConfig.MODES),
+       r=st.floats(min_value=0.0, max_value=10.0))
+def test_hardcore_diagonal_read_is_the_dense_oracle(cap, mode, r):
+    psi = hardcore_tripartite_state(r, HardcoreConfig(cap=cap, mode=mode))
+    _assert_diagonal_read_is_dense(r, TruncationConfig(n_max=cap), psi)
+    # the hardcore blocks run to 2 cap + 2
+    for d, (diag, off) in enumerate(rrbar_bands(psi, 2 * cap + 2), start=1):
+        block = rrbar_block_constructive(psi, d)
+        assert diag.tobytes() == np.diag(block).tobytes(), (d, cap, mode, r)
+        assert off.tobytes() == np.diag(block, 1).tobytes(), (d, cap, mode, r)

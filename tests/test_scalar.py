@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from unruh import scalar
+from unruh import fock, measures, scalar
 from unruh.errors import (ConvergenceError, NotAStateError, OracleMismatchError,
                           TruncationError)
 from unruh.fock import (Bipartition, FieldKind, LabeledBasis, StateVector,
@@ -280,6 +280,17 @@ def test_constructive_rejects_alice_antirob_entanglement():
         scalar_constructive_measures(0.5, CFG, psi=psi)
 
 
+def test_constructive_guard_fires_on_the_scalar_support():
+    # psi[0, 1, 1] = psi[1, 1, 0]: Rob in |1> times an Alice-AntiRob Bell
+    # pair, every amplitude on the two diagonals the oracle reads; the
+    # Alice-AntiRob block pairing (0, 0) with (1, 1) has eigenvalue -1/2
+    amps = np.zeros((2, 3, 2))
+    amps[0, 1, 1] = amps[1, 1, 0] = 1.0 / math.sqrt(2.0)
+    basis = (LabeledBasis.fock(A, 1), LabeledBasis.fock(R, 2), LabeledBasis.fock(B, 1))
+    with pytest.raises(NotAStateError, match="Alice-AntiRob partial transpose"):
+        scalar_constructive_measures(0.5, CFG, psi=StateVector(basis, amps.ravel()))
+
+
 def test_conservation_constructive():
     for r in (0.2, 0.8, 1.4):
         got = scalar_constructive_measures(r, CFG)
@@ -452,6 +463,19 @@ def test_tridiagonality_check_matches_dense_blocks(eps, labels):
         rrbar_bands(psi, 0)
 
 
+@pytest.mark.parametrize("label", [(0, 4, 3), (1, 3, 3)])
+def test_each_alice_row_keeps_to_its_own_offset(label):
+    # Alice 0 on offset 1 or Alice 1 on offset 0: a support test on the
+    # offsets {0, 1} alone lets either through, yet each lies off the one
+    # diagonal its Alice row holds
+    psi = _with_stray_amplitudes(
+        scalar_tripartite_state(0.6, TruncationConfig(n_max=8)), 1e-3, [label])
+    with pytest.raises(NotAStateError, match="off offsets 0 and 1"):
+        rrbar_bands(psi, 0)
+    with pytest.raises(NotAStateError, match="off offsets 0 and 1"):
+        scalar_constructive_measures(0.6, CFG, psi=psi)
+
+
 def _constructive_rrbar_negativity(psi, n_blocks):
     """Reference: negativity of blocks 1..n_blocks of the state's own
     Rob-AntiRob partial transpose, each block eigensolved."""
@@ -494,6 +518,16 @@ def test_oracle_reads_bands_not_dense_blocks(monkeypatch):
     _, blocks = _closed_blocks(1.0)
     assert rrbar_mirsky_bound(_oracle_state(1.0), blocks) < 1e-9
     assert scalar_report(1.0, CFG).oracle_discrepancy <= 1e-9
+
+
+def test_oracle_reads_diagonals_not_dense_reductions(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("the scalar oracle formed or eigensolved a dense matrix")
+    monkeypatch.setattr(scalar, "reduced_density_matrix", dense, raising=False)
+    monkeypatch.setattr(fock, "reduced_density_matrix", dense)
+    monkeypatch.setattr(measures, "partial_transpose", dense)
+    monkeypatch.setattr(np.linalg, "eigvalsh", dense)
+    assert scalar_report(1.5, CFG).oracle_discrepancy <= 1e-9
 
 
 def test_closed_blocks_are_recorded_in_order():
@@ -799,6 +833,23 @@ def test_pinned_cutoff_state_past_float_range_is_a_typed_error(build):
         build(720, TruncationConfig(n_max=3))
     with pytest.raises(TruncationError, match=r"cap 3 .*r=19\.5"):
         build(19.5, TruncationConfig(n_max=3))
+
+
+@pytest.mark.parametrize("r", [19.5, 800.0])
+def test_pinned_cutoff_report_at_large_r_is_a_typed_error(r):
+    # the Alice-Rob tail bound divided by 1 - tanh^2 r = 0 at 19.5, and
+    # cosh r overflowed at 800
+    with pytest.raises(TruncationError, match=rf"r={r}"):
+        scalar_report(r, TruncationConfig(n_max=3))
+
+
+def test_rrbar_block_past_float_range_is_a_typed_error():
+    with pytest.raises(TruncationError, match=r"r=800\.0"):
+        rrbar_block_diagonals(800, 5)
+    with pytest.raises(TruncationError, match=r"cosh\^4 r .*r=178\.2"):
+        rrbar_block_diagonals(178.2, 5)
+    diag, off = rrbar_block_diagonals(178.1, 5)
+    assert np.all(np.isfinite(off)) and diag[-1] > 0.0
 
 
 @pytest.mark.parametrize("cap", [2, 16])

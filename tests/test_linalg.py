@@ -5,8 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+from unruh import linalg
 from unruh.errors import ConvergenceError, NotSymmetricError
-from unruh.linalg import sym_eigenvalues, tridiagonal_eigenvalues
+from unruh.linalg import (sym_eigenvalues, tridiagonal_eigenvalues,
+                          tridiagonal_spectra)
 
 
 def test_identity():
@@ -78,19 +80,73 @@ def test_tridiagonal_failures_are_typed():
         tridiagonal_eigenvalues(np.zeros(3), np.zeros(3))
 
 
+def _random_bands(seed, sizes):
+    rng = np.random.default_rng(seed)
+    return [(rng.standard_normal(n), rng.standard_normal(n - 1)) for n in sizes]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_spectra_equal_one_call_per_block(monkeypatch, cpus):
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+    bands = _random_bands(17, (1, 2, 40, 7, 3, 90, 5))
+    kept = [(d.copy(), e.copy()) for d, e in bands]
+    spectra = tridiagonal_spectra(bands)
+    assert [s.tobytes() for s in spectra] == [
+        tridiagonal_eigenvalues(d, e).tobytes() for d, e in bands]
+    # the bands are read, not overwritten
+    for (d, e), (d0, e0) in zip(bands, kept):
+        assert d.tobytes() == d0.tobytes() and e.tobytes() == e0.tobytes()
+    assert tridiagonal_spectra([]) == []
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_spectra_failures_are_typed_and_ordered(monkeypatch, cpus):
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+    bands = _random_bands(19, (4, 5, 6, 7, 8))
+    bands[2][0][1] = bands[4][0][1] = np.nan
+    with pytest.raises(ConvergenceError, match="6x6") as err:
+        tridiagonal_spectra(bands)
+    # the spectra before the first failed block
+    assert [s.tobytes() for s in err.value.partial_value] == [
+        tridiagonal_eigenvalues(d, e).tobytes() for d, e in bands[:2]]
+    for misfit in ((np.zeros(3), np.zeros(3)), (np.zeros((2, 2)), np.zeros(3))):
+        with pytest.raises(ValueError):
+            tridiagonal_spectra(bands[:2] + [misfit])
+
+
+def test_spectra_from_concurrent_callers(monkeypatch):
+    # more solving threads than CPUs, and callers switched often
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 3)
+    bands = _random_bands(23, range(2, 60))
+    want = [tridiagonal_eigenvalues(d, e).tobytes() for d, e in bands]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as callers:
+            runs = [callers.submit(tridiagonal_spectra, bands) for _ in range(8)]
+            got = [[s.tobytes() for s in run.result(timeout=60)] for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 8
+
+
 def test_import_does_not_load_scipy():
     # scipy is only needed by the tridiagonal path, imported on first use;
     # Dirac and hardcore reports, oracle included, never reach it: the
-    # hardcore Rob-AntiRob blocks, 34 of them at cap 16, go to numpy
+    # hardcore Rob-AntiRob blocks, 34 of them at cap 16, go to numpy. Nor
+    # do they start the tridiagonal path's thread pool
     import unruh
     src = os.path.dirname(os.path.dirname(unruh.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, unruh; "
+    code = ("import sys, threading, unruh; "
             "unruh.dirac_report(0.3); "
             "unruh.hardcore_report(0.3, unruh.HardcoreConfig(cap=2)); "
             "unruh.hardcore_report(1.3, unruh.HardcoreConfig(cap=16, mode='renormalized')); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m == 'concurrent.futures'), threading.active_count())")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.strip() == "[] 1"

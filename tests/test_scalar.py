@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from unruh import fock, measures, scalar
+from unruh import fock, linalg, measures, scalar
 from unruh.errors import (ConvergenceError, NotAStateError, OracleMismatchError,
                           TruncationError)
 from unruh.fock import (Bipartition, FieldKind, LabeledBasis, StateVector,
@@ -592,22 +592,25 @@ def test_oracle_catches_perturbed_deep_state(monkeypatch):
 
 
 def test_oracle_eigensolves_only_the_closed_blocks(monkeypatch):
-    calls = {"eig": 0, "band": 0}
-    eig, band = scalar.tridiagonal_eigenvalues, scalar.rrbar_block_diagonals
+    # every block eigensolve, on any thread, goes through linalg._solve
+    solves, recorded = [], []
+    solve, bound = linalg._solve, scalar.rrbar_mirsky_bound
 
-    def counted_eig(*args):
-        calls["eig"] += 1
-        return eig(*args)
+    def counted_solve(diag, offdiag):
+        solves.append(diag.size)
+        return solve(diag, offdiag)
 
-    def counted_band(*args):
-        calls["band"] += 1
-        return band(*args)
-    monkeypatch.setattr(scalar, "tridiagonal_eigenvalues", counted_eig)
-    monkeypatch.setattr(scalar, "rrbar_block_diagonals", counted_band)
+    def recording_bound(psi, blocks):
+        recorded.append(len(blocks))
+        return bound(psi, blocks)
+    monkeypatch.setattr(linalg, "_solve", counted_solve)
+    monkeypatch.setattr(scalar, "rrbar_mirsky_bound", recording_bound)
     n_blocks = len(_closed_blocks(1.2)[1])
-    calls.update(eig=0, band=0)
+    alone = sorted(solves)
+    solves.clear()
     scalar_report(1.2, CFG)
-    assert calls == {"eig": n_blocks, "band": n_blocks}
+    assert sorted(solves) == alone
+    assert recorded == [n_blocks]
 
 
 def test_rrbar_negativity_series():

@@ -8,7 +8,9 @@ carried around explicitly as ``trace_deficit`` rather than renormalized
 away, so closed-form coefficients can be compared entry for entry.
 
 Hardcore bosons reuse the same machinery with the cutoff pinned to the
-occupation cap instead of adapted.
+occupation cap instead of adapted. Their closed measures and the closed
+matrices of both fields come from the truncated weights of the state's two
+diagonals (:func:`_closed_weights`), so no report reduces a dense matrix.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from .errors import ConvergenceError, NotAStateError, TruncationError
 from .fock import (Bipartition, DensityMatrix, FieldKind, LabeledBasis,
                    SqueezingParam, StateVector, Subsystem, _r_value)
 from .linalg import tridiagonal_spectra
-from .measures import (NEGATIVITY_ZERO_TOL, PSD_TOL, bipartite_measures,
-                       entropy_from_eigenvalues, mutual_informations,
-                       negativity_from_pt_eigenvalues)
+from .measures import (NEGATIVITY_ZERO_TOL, PSD_TOL, entropy_from_eigenvalues,
+                       mutual_informations, negativity_from_pt_eigenvalues)
 from .report import CorrelationReport
 
 ORACLE_TOL = 1e-9
@@ -73,13 +74,13 @@ class HardcoreConfig:
     """Bosonic mode with the squeezed-sum occupation capped at ``cap``.
 
     ``truncate_only`` keeps the raw truncated coefficients (trace < 1, the
-    loss recorded as trace_deficit); ``renormalized`` rescales the pure
-    state to unit norm first. Block positivity, hence the vanishing
-    Alice-AntiRob negativity, is invariant under that rescaling. Reports
-    sum the Rob-AntiRob negativity over blocks of order at most 2 cap + 2;
-    only the public dense ``hardcore_rho(..., ROB_ANTIROB)`` has order
-    (cap + 2)(cap + 1), which must stay within ``DENSE_ORDER_MAX``, so the
-    cap is at most 62.
+    loss recorded as trace_deficit); ``renormalized`` rescales the pure state
+    to unit norm first. Block positivity, hence the vanishing Alice-AntiRob
+    negativity, is invariant under that rescaling. Reports take five
+    measures from the capped closed weights and sum the Rob-AntiRob
+    negativity over blocks of order at most 2 cap + 2; only the public dense
+    ``hardcore_rho(..., ROB_ANTIROB)`` has order (cap + 2)(cap + 1), which
+    must stay within ``DENSE_ORDER_MAX``, so the cap is at most 62.
     """
 
     cap: int
@@ -244,55 +245,53 @@ def scalar_tripartite_state(r, cfg: TruncationConfig = TruncationConfig(),
 # closed-form density matrices
 # ---------------------------------------------------------------------------
 
-def _closed_entries(rv: float, n_max: int,
-                    bipartition: Bipartition) -> tuple[tuple, np.ndarray]:
-    """(basis, entries) of the truncated closed-form bipartite matrix;
+def _closed_weights(rv: float, n_max: int) -> np.ndarray:
+    """Rows p0[n] = tanh^2n r sech^2 r / 2 on (alice 0, rob n, antirob n)
+    and p1[n] = (n+1) tanh^2n r sech^4 r / 2 on (alice 1, rob n+1,
+    antirob n), n <= n_max, zero-padded to n_max + 3 as the oracle reads
+    them; sech r = 2 e^-r / (1 + e^-2r) neither cancels nor overflows.
     ``TruncationError`` past the one-particle mass rule."""
     _require_one_particle_mass(rv, n_max)
-    t, ch = math.tanh(rv), math.cosh(rv)
+    e = math.exp(-rv)
+    sech2 = (2 * e / (1 + e * e)) ** 2
+    n = np.arange(n_max + 1)
+    p = np.zeros((2, n_max + 3))
+    p[0, n] = math.tanh(rv) ** (2 * n) * sech2 / 2
+    p[1, n] = (n + 1) * p[0, n] * sech2
+    return p
+
+
+def _closed_entries(rv: float, n_max: int,
+                    bipartition: Bipartition) -> tuple[tuple, np.ndarray]:
+    """(basis, entries) of the truncated closed-form bipartite matrix, from
+    :func:`_closed_weights`; ``TruncationError`` past the mass rule."""
+    p0, p1 = _closed_weights(rv, n_max)[:, :n_max + 1]
     alice = LabeledBasis.fock(Subsystem.ALICE, 1)
     rob, antirob = _bases(n_max)
-    if bipartition is Bipartition.ALICE_ROB:
-        d_r = rob.dim
-        m = np.zeros((2 * d_r, 2 * d_r))
-        for n in range(n_max + 1):
-            pref = t ** (2 * n) / (2 * ch ** 2)
-            i0 = n            # |0, n>
-            i1 = d_r + n + 1  # |1, n+1>
-            m[i0, i0] += pref
-            m[i1, i1] += pref * (n + 1) / ch ** 2
-            v = pref * math.sqrt(n + 1) / ch
-            m[i0, i1] += v
-            m[i1, i0] += v
-        basis = (alice, rob)
-    elif bipartition is Bipartition.ALICE_ANTIROB:
-        d_b = antirob.dim
-        m = np.zeros((2 * d_b, 2 * d_b))
-        for n in range(n_max + 1):
-            pref = t ** (2 * n) / (2 * ch ** 2)
-            m[n, n] += pref
-            m[d_b + n, d_b + n] += pref * (n + 1) / ch ** 2
-            if n + 1 <= n_max:
-                v = pref * math.sqrt(n + 1) * t / ch
-                m[n + 1, d_b + n] += v
-                m[d_b + n, n + 1] += v
-        basis = (alice, antirob)
-    elif bipartition is Bipartition.ROB_ANTIROB:
+    n = np.arange(n_max + 1)
+    if bipartition is Bipartition.ROB_ANTIROB:
         d_r, d_b = rob.dim, antirob.dim
         if d_r * d_b > DENSE_ORDER_MAX:
             raise TruncationError(
                 f"the Rob-AntiRob matrix at cutoff {n_max} (r={rv}) has order "
                 f"{d_r * d_b} > {DENSE_ORDER_MAX}")
         m = np.zeros((d_r * d_b, d_r * d_b))
-        for n in range(n_max + 1):
-            for mm in range(n_max + 1):
-                pref = t ** (n + mm) / (2 * ch ** 2)
-                m[n * d_b + n, mm * d_b + mm] += pref
-                m[(n + 1) * d_b + n, (mm + 1) * d_b + mm] += (
-                    pref * math.sqrt(n + 1) * math.sqrt(mm + 1) / ch ** 2)
-        basis = (rob, antirob)
+        for i, p in ((n * d_b + n, p0), ((n + 1) * d_b + n, p1)):
+            m[np.ix_(i, i)] = np.sqrt(np.outer(p, p))
+        return (rob, antirob), m
+    if bipartition is Bipartition.ALICE_ROB:
+        basis, s = (alice, rob), 1  # alice 1 holds rob n + s
+    elif bipartition is Bipartition.ALICE_ANTIROB:
+        basis, s = (alice, antirob), 0  # alice 1 holds antirob n + s
     else:
         raise ValueError(f"unknown bipartition {bipartition}")
+    d = basis[1].dim
+    m = np.zeros((2 * d, 2 * d))
+    m[n, n] = p0
+    m[d + n + s, d + n + s] = p1
+    # |1, k + s> and |0, k + 1 - s> share the traced occupation; k <= n_max - 1 + s
+    k = n[:n_max + s]
+    m[k + 1 - s, d + k + s] = m[d + k + s, k + 1 - s] = np.sqrt(p0[k + 1 - s] * p1[k])
     return basis, m
 
 
@@ -450,16 +449,7 @@ def rrbar_block_diagonals(r, D: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if D < 1:
         raise ValueError(f"block dimension must be >= 1, got {D}")
-    rv = _r_value(r, FieldKind.SCALAR)
-    t, ch2, ch4 = math.tanh(rv), _cosh(rv, 2), _cosh(rv, 4)
-    a = np.empty(D)  # a[ell - 1] is the coupling at position ell
-    a[0::2] = t ** (D - 1) / (2 * ch2)
-    if D >= 2:
-        l = np.arange(1, D // 2 + 1)
-        a[1::2] = np.sqrt((D - l) * l) * t ** (D - 2) / (2 * ch4)
-    diag = np.zeros(D)
-    diag[D - 1] = a[D - 1]
-    return diag, a[:D - 1]
+    return _closed_bands(_r_value(r, FieldKind.SCALAR), range(D, D + 1))[0]
 
 
 def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -544,9 +534,8 @@ def _split_bands(a: np.ndarray, starts: np.ndarray,
 
 
 def _closed_bands(rv: float, sizes: range) -> list[tuple[np.ndarray, np.ndarray]]:
-    """:func:`rrbar_block_diagonals` of every block D in ``sizes``, bitwise
-    equal, from one numpy pass: the powers of tanh r stay Python floats,
-    and each coupling is formed in the same order as there."""
+    """:func:`rrbar_block_diagonals` of every block D in ``sizes``, from one
+    numpy pass, the one place its couplings are formed."""
     t, ch2, ch4 = math.tanh(rv), _cosh(rv, 2), _cosh(rv, 4)
     size = np.array(sizes)
     starts, block, ell = _positions(size)
@@ -690,11 +679,21 @@ def hardcore_rho(r, hc: HardcoreConfig, bipartition: Bipartition) -> DensityMatr
     return _closed_rho(rv, hc.cap, bipartition)
 
 
+def hardcore_closed_measures(r, hc: HardcoreConfig) -> dict:
+    """Every measure but N_RRbar of the capped mode, from its closed weights,
+    divided by their sum in ``renormalized`` mode; nothing is eigensolved.
+    ``TruncationError`` past the one-particle mass rule."""
+    p = _closed_weights(_r_value(r, FieldKind.HARDCORE), hc.cap)
+    if hc.mode == "renormalized":
+        p /= p.sum()
+    return _weight_measures(*p)
+
+
 def hardcore_negativity_RRbar(r, hc: HardcoreConfig, blocks: list | None = None) -> float:
     """Rob-AntiRob negativity of the capped mode: the sum over the scalar
-    partial-transpose blocks D = 1..2 cap + 2 (:func:`rrbar_block_diagonals`)
-    with every coupling past the cap set to zero; later blocks lie wholly
-    past it.
+    partial-transpose blocks D = 1..2 cap + 2 (:func:`rrbar_block_diagonals`),
+    built in one pass, with every coupling past the cap set to zero; later
+    blocks lie wholly past it.
 
     Position 2i of block D pairs (i, i) with (D-1-i, D-1-i), position 2j+1
     pairs (j+1, j) with (D-1-j, D-2-j); in these blocks only the second
@@ -707,16 +706,12 @@ def hardcore_negativity_RRbar(r, hc: HardcoreConfig, blocks: list | None = None)
     """
     rv = _r_value(r, FieldKind.HARDCORE)
     _require_one_particle_mass(rv, hc.cap)
-    bands = []
-    for D in range(1, 2 * hc.cap + 3):
-        diag, off = rrbar_block_diagonals(rv, D)
-        off[:max(0, 2 * (D - 1 - hc.cap) - 1)] = 0.0
-        bands.append((diag, off))
-    if hc.mode == "renormalized":
-        mass = sum(float(diag[-1]) for diag, _ in bands)
-        bands = [(diag / mass, off / mass) for diag, off in bands]
+    bands = _closed_bands(rv, range(1, 2 * hc.cap + 3))
+    mass = sum(float(diag[-1]) for diag, _ in bands) if hc.mode == "renormalized" else 1.0
     total = 0.0
-    for diag, off in bands:
+    for D, (diag, off) in enumerate(bands, start=1):
+        off[:max(0, 2 * (D - 1 - hc.cap) - 1)] = 0.0
+        diag, off = diag / mass, off / mass
         eigs = np.linalg.eigvalsh(_tridiagonal(diag, off))[::-1]
         if blocks is not None:
             blocks.append((diag, off, eigs))
@@ -740,39 +735,45 @@ def scalar_closed_measures(r, cfg: TruncationConfig,
     return out
 
 
-def scalar_constructive_measures(r, cfg: TruncationConfig,
-                                 psi: StateVector | None = None) -> dict:
-    """Every measure but N_RRbar, read off the two diagonals of the
-    truncated state ``psi`` (built at ``cfg`` if not given;
-    :func:`scalar_diagonals`); :func:`rrbar_mirsky_bound` checks N_RRbar.
-
-    Alice's, Rob's and AntiRob's states are diagonal, and the Alice-Rob
-    and Alice-AntiRob partial transposes are direct sums of 2x2 blocks
-    with closed-form eigenvalues, so nothing is eigensolved; the dense
-    reductions through :func:`bipartite_measures` are the tests' reference.
-    Raises ``NotAStateError`` on an amplitude off the diagonals, or if the
-    Alice-AntiRob negativity, which the closed form proves to vanish,
-    exceeds 1e-10.
+def _weight_measures(p0: np.ndarray, p1: np.ndarray) -> dict:
+    """Every measure but N_RRbar of a pure state with weights p0[n] on
+    (alice 0, rob n, antirob n) and p1[n] on (alice 1, rob n+1, antirob n),
+    zero past Rob's axis. Alice's, Rob's and AntiRob's states are diagonal,
+    and the Alice-Rob and Alice-AntiRob partial transposes are direct sums
+    of 2x2 blocks coupled by sqrt(p0 p1), with closed-form eigenvalues.
+    Raises ``NotAStateError`` if the Alice-AntiRob negativity, which the
+    closed form proves to vanish, exceeds 1e-10.
     """
-    rv = _r_value(r, FieldKind.SCALAR)
-    if psi is None:
-        psi = scalar_tripartite_state(rv, cfg)
-    # one zero past both axes, so every shifted read below stays in range
-    v0, v1 = scalar_diagonals(psi, max(psi.dims[1:]) + 1)
-    p0, p1 = v0 * v0, v1 * v1
     out = mutual_informations(
         entropy_from_eigenvalues([p0.sum(), p1.sum()]),
         entropy_from_eigenvalues(p0 + np.concatenate(([0.0], p1[:-1]))),
         entropy_from_eigenvalues(p0 + p1))
     out["N_AR"] = negativity_from_pt_eigenvalues(_smaller_eigenvalues(
-        p0[1:], np.concatenate(([0.0], p1[:-2])), v0[:-1] * v1[:-1]))
+        p0[1:], np.concatenate(([0.0], p1[:-2])), np.sqrt(p0[:-1] * p1[:-1])))
     out["N_ARbar"] = negativity_from_pt_eigenvalues(_smaller_eigenvalues(
-        p0[:-1], p1[1:], v0[1:] * v1[:-1]))
+        p0[:-1], p1[1:], np.sqrt(p0[1:] * p1[:-1])))
     if out["N_ARbar"] > PSD_TOL:
         raise NotAStateError(
-            f"constructive Alice-AntiRob partial transpose has negativity "
+            f"Alice-AntiRob partial transpose has negativity "
             f"{out['N_ARbar']:.3e} > {PSD_TOL:.0e}")
     return out
+
+
+def scalar_constructive_measures(r, cfg: TruncationConfig,
+                                 psi: StateVector | None = None) -> dict:
+    """Every measure but N_RRbar (:func:`_weight_measures`), read off the
+    two diagonals of the truncated state ``psi`` (built at ``cfg`` if not
+    given; :func:`scalar_diagonals`); :func:`rrbar_mirsky_bound` checks
+    N_RRbar. Nothing is eigensolved; the dense reductions through
+    :func:`bipartite_measures` are the tests' reference. Raises
+    ``NotAStateError`` on an amplitude off the diagonals.
+    """
+    rv = _r_value(r, FieldKind.SCALAR)
+    if psi is None:
+        psi = scalar_tripartite_state(rv, cfg)
+    # one zero past both axes, so every shifted read stays in range
+    v0, v1 = scalar_diagonals(psi, max(psi.dims[1:]) + 1)
+    return _weight_measures(v0 * v0, v1 * v1)
 
 
 def scalar_report(r, cfg: TruncationConfig = TruncationConfig(),
@@ -816,22 +817,21 @@ def scalar_report(r, cfg: TruncationConfig = TruncationConfig(),
 def hardcore_report(r, hc: HardcoreConfig, oracle: bool = True) -> CorrelationReport:
     """Correlation report for the capped-occupation mode.
 
-    The closed route takes five measures from the capped closed-form
-    Alice-Rob and Alice-AntiRob matrices and N_RRbar from
-    :func:`hardcore_negativity_RRbar`; the oracle reads the five off the
-    two diagonals of the capped tripartite state
+    The closed route takes five measures from the capped closed weights
+    (:func:`hardcore_closed_measures`) and N_RRbar from
+    :func:`hardcore_negativity_RRbar`, whose at most 2 cap + 2 tridiagonal
+    blocks are the report's only eigensolves; the oracle reads the five off
+    the two diagonals of the capped tripartite state
     (:func:`scalar_constructive_measures`) and bounds N_RRbar by
     :func:`rrbar_mirsky_bound` against the bands read off the same
-    diagonals, as :func:`scalar_report` does. No Rob-AntiRob matrix is
-    built, and the oracle eigensolves nothing. Every
-    builder applies the one-particle mass rule, so both routes raise
-    ``TruncationError`` from the same r.
+    diagonals, as :func:`scalar_report` does. No dense matrix is built or
+    reduced. Every builder applies the one-particle mass rule, so both
+    routes raise ``TruncationError`` from the same r.
     """
     rv = _r_value(r, FieldKind.HARDCORE)
     dv, do = truncation_deficits(rv, hc.cap)
     deficit = 0.0 if hc.mode == "renormalized" else (dv + do) / 2.0
-    closed = bipartite_measures({bip: hardcore_rho(rv, hc, bip) for bip in
-                                 (Bipartition.ALICE_ROB, Bipartition.ALICE_ANTIROB)})
+    closed = hardcore_closed_measures(rv, hc)
     blocks = [] if oracle else None
     closed["N_RRbar"] = hardcore_negativity_RRbar(rv, hc, blocks)
     constructive, bound = None, 0.0

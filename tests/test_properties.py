@@ -1,7 +1,7 @@
 """Property tests with hypothesis over the hardcore-boson domain, its
-Rob-AntiRob blocks, the scalar Rob-AntiRob bands and the oracle's read of
-the state's two diagonals against the dense reductions; the profile is set
-in conftest.py."""
+Rob-AntiRob blocks and closed measures, the scalar Rob-AntiRob bands and
+the oracle's read of the state's two diagonals against the dense
+reductions; the profile is set in conftest.py."""
 
 import math
 
@@ -15,7 +15,8 @@ from unruh.errors import NotAStateError, TruncationError  # noqa: E402
 from unruh.fock import (Bipartition, StateVector, Subsystem,  # noqa: E402
                         reduced_density_matrix)
 from unruh.measures import bipartite_measures, negativity  # noqa: E402
-from unruh.scalar import (HardcoreConfig, TruncationConfig, hardcore_report,  # noqa: E402
+from unruh.scalar import (HardcoreConfig, TruncationConfig,  # noqa: E402
+                          hardcore_closed_measures, hardcore_report,
                           hardcore_rho, hardcore_tripartite_state, rrbar_bands,
                           rrbar_block_constructive, scalar_constructive_measures,
                           scalar_tripartite_state)
@@ -74,6 +75,32 @@ def test_table_bands_are_the_dense_bands_and_reject_a_stray_amplitude(r, n_max, 
     stray = StateVector(psi.basis, amps.ravel(), trace_deficit=psi.trace_deficit)
     with pytest.raises(NotAStateError, match="off offsets 0 and 1"):
         rrbar_bands(stray, 0)
+
+
+def _outcome(measures, *args):
+    """The measures, or None where they raise ``TruncationError``."""
+    try:
+        return measures(*args)
+    except TruncationError:
+        return None
+
+
+@given(cap=st.sampled_from((1, 2, 8, 16, 62)), mode=st.sampled_from(HardcoreConfig.MODES),
+       r=st.floats(min_value=0.0, max_value=10.0) | st.floats(min_value=10.0, max_value=12.0))
+def test_hardcore_closed_measures_are_the_dense_ones(cap, mode, r):
+    # the weights replace bipartite_measures over the closed matrices, which
+    # stay the reference; past the mass rule (from r = 10.4 at cap 1) both
+    # raise
+    hc = HardcoreConfig(cap=cap, mode=mode)
+    got = _outcome(hardcore_closed_measures, r, hc)
+    want = _outcome(lambda: bipartite_measures({bip: hardcore_rho(r, hc, bip) for bip in
+                                                (Bipartition.ALICE_ROB,
+                                                 Bipartition.ALICE_ANTIROB)}))
+    assert (got is None) == (want is None), (r, got, want)
+    if got is not None:
+        assert got.keys() == want.keys()
+        for key in want:
+            assert abs(got[key] - want[key]) <= 1e-13, (key, got[key], want[key])
 
 
 def _dense_measures(psi):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -727,13 +728,19 @@ def test_hardcore_state_modes():
 
 
 def test_hardcore_rho_against_constructive():
-    for mode in HardcoreConfig.MODES:
-        hc = HardcoreConfig(cap=3, mode=mode)
-        psi = hardcore_tripartite_state(0.9, hc)
-        for bip, keep in BIPS:
-            closed = hardcore_rho(0.9, hc, bip)
-            built = reduced_density_matrix(psi, keep)
-            assert np.max(np.abs(closed.entries - built.entries)) < 1e-13
+    # the closed matrices are placed from the weights in one pass, so the
+    # entries at the cutoff, where a shifted index first falls off an
+    # axis, are checked from the smallest cap to the largest
+    for cap, mode in itertools.product((1, 3, 16, 62), HardcoreConfig.MODES):
+        hc = HardcoreConfig(cap=cap, mode=mode)
+        for r in (0.0, 0.9, 4.0, 10.0):
+            psi = hardcore_tripartite_state(r, hc)
+            for bip, keep in BIPS:
+                closed = hardcore_rho(r, hc, bip)
+                built = reduced_density_matrix(psi, keep)
+                assert closed.dims == built.dims
+                assert np.max(np.abs(closed.entries - built.entries)) < 1e-13, (
+                    cap, mode, r, bip)
 
 
 def test_hardcore_arbar_pt_blocks_cap_two():
@@ -857,18 +864,26 @@ def test_rrbar_block_past_float_range_is_a_typed_error():
 
 @pytest.mark.parametrize("cap", [2, 16])
 @pytest.mark.parametrize("mode", HardcoreConfig.MODES)
-def test_hardcore_report_eigensolves_nothing_above_alice_rob(monkeypatch, cap, mode):
-    # the largest matrix a report may eigensolve is the Alice-Rob partial
-    # transpose, of order 2(cap + 2); the Rob-AntiRob blocks stay below it
-    eigvalsh = np.linalg.eigvalsh
+def test_hardcore_report_eigensolves_only_its_rrbar_blocks(monkeypatch, cap, mode):
+    # neither route reduces or partially transposes a dense matrix, and the
+    # only eigensolves are the Rob-AntiRob blocks D = 1..2 cap + 2, once each
+    eigvalsh, orders = np.linalg.eigvalsh, []
 
-    def bounded(a, *args, **kwargs):
-        assert a.shape[-1] <= 2 * (cap + 2), f"eigensolved order {a.shape[-1]}"
+    def counted(a, *args, **kwargs):
+        orders.append(a.shape[-1])
         return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", bounded)
+    def refused(*args, **kwargs):
+        raise AssertionError("a hardcore report reduced a dense matrix")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for module in (fock, measures, scalar):
+        for name in ("partial_trace", "partial_transpose", "reduced_density_matrix"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
     rep = hardcore_report(1.3, HardcoreConfig(cap=cap, mode=mode))
     assert rep.N_RRbar > 0.0 and rep.oracle_discrepancy <= 1e-9
+    assert orders == list(range(1, 2 * cap + 3)), orders
 
 
 def test_hardcore_oracle_catches_a_perturbed_coupling(monkeypatch):

@@ -10,9 +10,10 @@ blocks at once). Both return the full spectrum sorted in descending order.
 releases the GIL for the call. So :func:`tridiagonal_spectra` spreads its
 blocks over the calling thread and a pool of one thread less than the
 process has usable CPUs (its CPU affinity; restrict it with ``taskset`` to
-use fewer). Each block is solved alone by the same routine, so the spectra
-are bitwise the same for any number of threads. The pool is made on first
-need and dropped in a forked child.
+use fewer), with one fork and join per call. Each block is solved alone,
+in one working copy whose diagonal becomes its spectrum, so the spectra
+are bitwise the same for any number of threads. The pool is made on
+first need and dropped in a forked child.
 """
 
 from __future__ import annotations
@@ -77,10 +78,7 @@ def _dsterf():
 def _bands(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
     """Contiguous float64 copies of a tridiagonal matrix's two bands, which
     ``dsterf`` overwrites; ``ValueError`` if they do not fit together."""
-    diag = np.array(diag, dtype=float)
-    if diag.size == 1:
-        return diag, np.zeros(0)
-    offdiag = np.array(offdiag, dtype=float)
+    diag, offdiag = np.array(diag, dtype=float), np.array(offdiag, dtype=float)
     if diag.ndim != 1 or offdiag.shape != (diag.size - 1,):
         raise ValueError(f"a {diag.size}x{diag.size} tridiagonal matrix needs a "
                          f"diagonal of shape ({diag.size},) and an off-diagonal of "
@@ -91,8 +89,6 @@ def _bands(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
 def _solve(diag: np.ndarray, offdiag: np.ndarray) -> int:
     """Overwrite the bands from :func:`_bands` with the ascending spectrum
     (``diag``) and scratch (``offdiag``); return LAPACK's ``info``."""
-    if diag.size == 1:
-        return 0
     info = ctypes.c_int(0)
     _dsterf()(ctypes.byref(ctypes.c_int(diag.size)), diag.ctypes.data,
               offdiag.ctypes.data, ctypes.byref(info))
@@ -161,23 +157,22 @@ if hasattr(os, "register_at_fork"):
 
 def tridiagonal_spectra(bands) -> list[np.ndarray]:
     """:func:`tridiagonal_eigenvalues` of every ``(diag, offdiag)`` in
-    ``bands``, in order, bitwise equal to one call per block.
+    ``bands`` (any iterable, read once), in order, bitwise equal to one
+    call per block; each spectrum is a view of the block's working copy.
 
-    The calling thread solves every k-th block, for k usable CPUs, and a
-    pool of k - 1 threads solves the others; on one CPU nothing is handed
-    to a thread. ``ValueError`` on bands that do not fit, before any block
-    is solved. ``ConvergenceError`` names the first block, in order, that
-    LAPACK fails on; its ``partial_value`` is the list of the spectra
-    before it.
+    The calling thread copies every block, then solves every k-th, for k
+    usable CPUs, and a pool of k - 1 threads solves the others; on one CPU
+    nothing is handed to a thread. ``ValueError`` on bands that do not
+    fit, before any block is solved. ``ConvergenceError`` names the first
+    block, in order, that LAPACK fails on; its ``partial_value`` is the
+    list of the spectra before it.
     """
     blocks = [_bands(diag, offdiag) for diag, offdiag in bands]
     _dsterf()  # scipy is imported on this thread: on two at once it takes longer
     cpus = _usable_cpus()
     shares = max(1, min(len(blocks), cpus))
-    pending = []
-    if shares > 1:
-        pool = _executor(cpus - 1)
-        pending = [pool.submit(_solve_all, blocks[k::shares]) for k in range(1, shares)]
+    pool = _executor(cpus - 1) if shares > 1 else None
+    pending = [pool.submit(_solve_all, blocks[k::shares]) for k in range(1, shares)]
     infos = [0] * len(blocks)
     infos[0::shares] = _solve_all(blocks[0::shares])
     for k, share in enumerate(pending, 1):
@@ -186,5 +181,5 @@ def tridiagonal_spectra(bands) -> list[np.ndarray]:
     for (diag, _), info in zip(blocks, infos):
         if info != 0:
             raise _failure(diag.size, info, partial_value=spectra)
-        spectra.append(diag[::-1].copy())
+        spectra.append(diag[::-1])
     return spectra

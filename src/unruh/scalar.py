@@ -15,6 +15,7 @@ diagonals (:func:`_closed_weights`), so no report reduces a dense matrix.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -32,10 +33,9 @@ from .report import CorrelationReport
 ORACLE_TOL = 1e-9
 _SERIES_FLOOR = 1e-22
 _SERIES_CAP = 1_000_000
-# a Rob-AntiRob block contributing less than this counts as quiet
-BLOCK_TOL = 1e-14
-# closed Rob-AntiRob blocks built and eigensolved together (measured)
-RRBAR_CHUNK = 8
+# band entries of the closed Rob-AntiRob blocks solved per LAPACK pass (all of
+# blocks 1..400, the default d_max) and built per numpy pass: memory bounds
+_BAND_BUDGET, _PIECE = 400 * 401 // 2, 2048
 # bound on adaptive cutoff growth
 N_MAX_CAP = 4096
 # largest order of a dense Rob-AntiRob matrix, (n_max + 2)(n_max + 1): 128 MB;
@@ -325,18 +325,14 @@ def antirob_weight(n: int, x: float) -> float:
 
 def _series_entropy(weight, x: float) -> float:
     total = 0.0
-    n = 0
-    while True:
+    for n in range(_SERIES_CAP + 1):
         w = weight(n, x)
         if w > 0.0:
             total -= w * math.log2(w)
         if n >= 8 and w < _SERIES_FLOOR:
             return total
-        n += 1
-        if n > _SERIES_CAP:
-            raise ConvergenceError(
-                f"entropy series did not converge within {_SERIES_CAP} terms "
-                f"(x={x})", partial_value=total)
+    raise ConvergenceError(f"entropy series did not converge within {_SERIES_CAP} "
+                           f"terms (x={x})", partial_value=total)
 
 
 def scalar_entropies(r, cfg: TruncationConfig = TruncationConfig()) -> SubsystemEntropies:
@@ -388,18 +384,14 @@ def scalar_negativity_AR(r, cfg: TruncationConfig = TruncationConfig()) -> float
                               f"negativity series has no tail bound")
     ch, sh = math.cosh(rv), math.sinh(rv)
     total = 0.0
-    n = 0
-    while True:
+    for n in range(_SERIES_CAP + 1):
         b = n / sh ** 2 + x
         term = x ** n / (4 * ch ** 2) * abs(b - math.sqrt(b * b + 4 / ch ** 2))
         total += term
         tail_bound = term * x / (1.0 - x)
         if n >= 4 and term < cfg.tail_tol and tail_bound < cfg.tail_tol:
             return total
-        n += 1
-        if n > _SERIES_CAP:
-            raise ConvergenceError("negativity series did not converge",
-                                   partial_value=total)
+    raise ConvergenceError("negativity series did not converge", partial_value=total)
 
 
 def scalar_negativity_ARbar(r, cfg: TruncationConfig = TruncationConfig()) -> float:
@@ -572,48 +564,70 @@ def rrbar_bands(psi: StateVector, n_blocks: int) -> list[tuple[np.ndarray, np.nd
     return _split_bands(a, starts, size)
 
 
+def _rrbar_row_bound(t: float, ch2: float, D: int) -> float:
+    """G_D >= the spectral radius of Rob-AntiRob block D >= 2: a row holds
+    at most one coupling of each kind, tanh^(D-1) r/(2 cosh^2 r) and
+    sqrt((D-l) l) tanh^(D-2) r/(2 cosh^4 r) <= (D/2) tanh^(D-2) r/(2 cosh^4 r).
+    G falls strictly with D for every tanh r < 1."""
+    return t ** (D - 2) * (t + D / (2 * ch2)) / (2 * ch2)
+
+
+def _runs(first: int, last: int, entries: int):
+    """Consecutive ranges of blocks first..last, each of at most ``entries``
+    band entries (block D has D) or of one block."""
+    while first <= last:
+        # the largest s with first + ... + s <= entries: s (s + 1) <= n
+        n = 2 * entries + first * (first - 1)
+        stop = 1 + min(last, max(first, (math.isqrt(4 * n + 1) - 1) // 2))
+        yield range(first, stop)
+        first = stop
+
+
 def scalar_negativity_RRbar(r, cfg: TruncationConfig = TruncationConfig(),
                             blocks: list | None = None) -> float:
-    """Rob-AntiRob negativity: direct sum of the tridiagonal PT blocks.
+    """Rob-AntiRob negativity: direct sum of the tridiagonal PT blocks,
+    strictly increasing with acceleration and unbounded.
 
-    Strictly increasing with acceleration and unbounded; block contributions
-    decay geometrically in tanh r, so the sum stops after three consecutive
-    blocks below ``BLOCK_TOL``, a window that guards against stopping on a
-    parity dip. Blocks are built ``RRBAR_CHUNK`` at a time and eigensolved
-    together by :func:`tridiagonal_spectra`, then summed in block order:
-    up to RRBAR_CHUNK - 1 blocks past the stop are solved and dropped, and
-    a failure in one of them never surfaces. If ``blocks`` is a list, the
-    (diagonal, off-diagonal, spectrum) of every block summed is appended to
-    it, block D at index D - 1.
+    The sum runs to block K, the last whose bound G_D reaches
+    ``NEGATIVITY_ZERO_TOL`` (to a 1e-6 margin), found by bisection; later
+    blocks add 0.0 and are never built. One :func:`tridiagonal_spectra`
+    call solves each ``_BAND_BUDGET`` band entries. ``ConvergenceError``
+    carries the sum before a failed block, or of blocks 1..d_max if
+    K > d_max; ``TruncationError`` names r where tanh r rounds to 1. If
+    ``blocks`` is a list, the (diagonal, off-diagonal, spectrum) of every
+    block summed is appended to it, block D at index D - 1, and only then
+    are the bands kept past their solve.
     """
     rv = _r_value(r, FieldKind.SCALAR)
     if rv == 0.0:
         return 0.0
+    t, ch2 = math.tanh(rv), _cosh(rv, 2)
+    if t == 1.0:
+        raise TruncationError(f"tanh r rounds to 1 at r={rv}: the Rob-AntiRob "
+                              f"block bound has no falling tail")
+    last = 1 + bisect.bisect_left(range(2, cfg.d_max + 2), True, key=lambda D: (
+        _rrbar_row_bound(t, ch2, D) * (1.0 + 1e-6) < NEGATIVITY_ZERO_TOL))
     total = 0.0
-    quiet = 0
-    for first in range(1, cfg.d_max + 1, RRBAR_CHUNK):
-        bands = _closed_bands(rv, range(first, min(first + RRBAR_CHUNK, cfg.d_max + 1)))
+    for run in _runs(1, min(last, cfg.d_max), _BAND_BUDGET):
+        bands = (band for piece in _runs(run.start, run.stop - 1, _PIECE)
+                 for band in _closed_bands(rv, piece))
+        bands = list(bands) if blocks is not None else bands
         try:
             spectra, failure = tridiagonal_spectra(bands), None
         except ConvergenceError as err:  # the spectra before the failed block
             spectra, failure = err.partial_value, err
-        for (diag, off), eigs in zip(bands, spectra):
-            if blocks is not None:
-                blocks.append((diag, off, eigs))
-            contrib = negativity_from_pt_eigenvalues(eigs)
-            total += contrib
-            if contrib < BLOCK_TOL:
-                quiet += 1
-                if quiet >= 3:
-                    return total  # a failure past the stop is never reached
-            else:
-                quiet = 0
+        if blocks is not None:
+            blocks.extend((diag, off, eigs) for (diag, off), eigs in zip(bands, spectra))
+        for eigs in spectra:
+            total += negativity_from_pt_eigenvalues(eigs)
         if failure is not None:
             raise ConvergenceError(f"Rob-AntiRob block sum at r={rv}: {failure}",
                                    partial_value=total) from failure
-    raise ConvergenceError(
-        f"Rob-AntiRob block sum did not converge within d_max={cfg.d_max} blocks",
-        partial_value=total)
+    if last > cfg.d_max:
+        raise ConvergenceError(
+            f"Rob-AntiRob block sum did not converge within d_max={cfg.d_max} blocks",
+            partial_value=total)
+    return total
 
 
 def rrbar_mirsky_bound(psi: StateVector, blocks) -> float:
@@ -723,18 +737,6 @@ def hardcore_negativity_RRbar(r, hc: HardcoreConfig, blocks: list | None = None)
 # dual-route reports
 # ---------------------------------------------------------------------------
 
-def scalar_closed_measures(r, cfg: TruncationConfig,
-                           rrbar_blocks: list | None = None) -> dict:
-    """All six measures in closed form; ``rrbar_blocks`` as in
-    :func:`scalar_negativity_RRbar`."""
-    ent = scalar_entropies(r, cfg)
-    out = mutual_informations(ent.S_A, ent.S_R, ent.S_Rbar)
-    out["N_AR"] = scalar_negativity_AR(r, cfg)
-    out["N_ARbar"] = scalar_negativity_ARbar(r, cfg)
-    out["N_RRbar"] = scalar_negativity_RRbar(r, cfg, rrbar_blocks)
-    return out
-
-
 def _weight_measures(p0: np.ndarray, p1: np.ndarray) -> dict:
     """Every measure but N_RRbar of a pure state with weights p0[n] on
     (alice 0, rob n, antirob n) and p1[n] on (alice 1, rob n+1, antirob n),
@@ -802,7 +804,10 @@ def scalar_report(r, cfg: TruncationConfig = TruncationConfig(),
     n_max = resolve_n_max(rv, cfg)
     dv, do = truncation_deficits(rv, n_max)
     blocks = [] if oracle else None
-    closed = scalar_closed_measures(rv, cfg, blocks)
+    ent = scalar_entropies(rv, cfg)
+    closed = mutual_informations(ent.S_A, ent.S_R, ent.S_Rbar)
+    closed.update(N_AR=scalar_negativity_AR(rv, cfg), N_ARbar=scalar_negativity_ARbar(rv, cfg),
+                  N_RRbar=scalar_negativity_RRbar(rv, cfg, blocks))
     constructive, bound = None, 0.0
     if oracle:
         # the deep state first: it is the largest, and refused unallocated

@@ -1,6 +1,7 @@
 """The Rob-AntiRob block spectra on several threads: the same values, the
 same recorded blocks and the same CSV bytes for any number of usable CPUs,
-no error from a block past the stop, and a working pool in a forked child."""
+no block past the stop solved on any thread, and a working pool in a
+forked child."""
 
 import multiprocessing
 import os
@@ -11,12 +12,13 @@ import pytest
 from unruh import linalg
 from unruh.errors import ConvergenceError
 from unruh.measures import negativity_from_pt_eigenvalues
-from unruh.scalar import RRBAR_CHUNK, TruncationConfig, scalar_negativity_RRbar
+from unruh.scalar import TruncationConfig, scalar_negativity_RRbar
 from unruh.sweep import figure_preset, run_sweep
 
 CFG = TruncationConfig()
-# no extra thread, one per usable CPU, and more shares than this machine may have
-CPU_COUNTS = sorted({1, linalg._usable_cpus(), 3})
+# no extra thread, one per usable CPU, and more shares than this machine may
+# have, up to a pool wider than eight blocks
+CPU_COUNTS = sorted({1, linalg._usable_cpus(), 3, 12})
 _SOLVE = linalg._solve
 
 
@@ -62,17 +64,16 @@ def _failing_at(monkeypatch, size):
 
 
 @pytest.mark.parametrize("cpus", CPU_COUNTS)
-def test_failure_past_the_stop_is_discarded(monkeypatch, cpus):
+def test_only_blocks_up_to_the_stop_are_solved(monkeypatch, cpus):
     monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
-    # r where the sum stops inside a chunk, so block K + 1 is computed
-    r = next(r for r in (1.0, 1.1, 1.2, 1.3, 1.4)
-             if len(_closed_blocks(r)[1]) % RRBAR_CHUNK)
-    value, blocks = _closed_blocks(r)
-    solved = _failing_at(monkeypatch, len(blocks) + 1)
-    got, got_blocks = _closed_blocks(r)
-    assert got == value
-    assert len(got_blocks) == len(blocks)
-    assert len(blocks) + 1 in solved
+    for r in (1e-9, 0.5, 1.2, 1.65):
+        value, blocks = _closed_blocks(r)
+        # a failure in block K + 1 would raise if it were solved
+        solved = _failing_at(monkeypatch, len(blocks) + 1)
+        assert scalar_negativity_RRbar(r, CFG) == value
+        # blocks 1..K, each once, from whichever thread solved it
+        assert sorted(solved) == list(range(1, len(blocks) + 1))
+        monkeypatch.setattr(linalg, "_solve", _SOLVE)
 
 
 @pytest.mark.parametrize("cpus", CPU_COUNTS)

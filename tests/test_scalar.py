@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from unruh.errors import (ConvergenceError, NotAStateError, OracleMismatchError,
 from unruh.fock import (Bipartition, FieldKind, LabeledBasis, StateVector,
                         Subsystem, partial_trace, partial_transpose,
                         reduced_density_matrix)
-from unruh.linalg import sym_eigenvalues, tridiagonal_eigenvalues
+from unruh.linalg import sym_eigenvalues, tridiagonal_eigenvalues, tridiagonal_spectra
 from unruh.measures import (negativity, negativity_from_pt_eigenvalues,
                             von_neumann_entropy)
 from unruh.scalar import (HardcoreConfig, TruncationConfig, hardcore_report,
@@ -634,6 +635,72 @@ def test_rrbar_negativity_block_cap_error():
     with pytest.raises(ConvergenceError) as err:
         scalar_negativity_RRbar(3.0, TruncationConfig(d_max=40))
     assert err.value.partial_value > 0
+
+
+@pytest.mark.parametrize("r", [0.05, 0.5, 1.0, 1.5, 3.0])
+def test_rrbar_row_bound_covers_the_spectrum(r):
+    t, ch2 = math.tanh(r), math.cosh(r) ** 2
+    for D in range(2, 81):
+        radius = float(np.abs(sym_eigenvalues(rrbar_block(r, D))).max())
+        assert scalar._rrbar_row_bound(t, ch2, D) >= radius * (1.0 - 1e-12), (r, D)
+        assert scalar._rrbar_row_bound(t, ch2, D + 1) < scalar._rrbar_row_bound(t, ch2, D)
+
+
+def _blockwise(r, n_blocks):
+    """Reference: blocks 1..n_blocks, one tridiagonal_eigenvalues call each,
+    summed in block order; and their spectra."""
+    total, spectra = 0.0, []
+    for D in range(1, n_blocks + 1):
+        spectra.append(tridiagonal_eigenvalues(*rrbar_block_diagonals(r, D)))
+        total += negativity_from_pt_eigenvalues(spectra[-1])
+    return total, spectra
+
+
+@pytest.mark.parametrize("r", [1e-12, 1e-6, 0.05, 0.3, 0.77, 1.0, 1.2, 1.5, 1.65, 1.67])
+def test_rrbar_stop_drops_only_zero_blocks(r):
+    value, blocks = _closed_blocks(r)
+    last = len(blocks)
+    assert 2 <= last <= CFG.d_max
+    want, spectra = _blockwise(r, last + 5)
+    assert value == want
+    assert all(float(eigs.min()) >= -measures.NEGATIVITY_ZERO_TOL
+               for eigs in spectra[last:])
+
+
+def test_rrbar_past_d_max_raises_with_the_sum_to_d_max():
+    with pytest.raises(ConvergenceError, match="d_max=400") as err:
+        scalar_negativity_RRbar(1.7, CFG)
+    assert err.value.partial_value == _blockwise(1.7, 400)[0]
+
+
+def test_rrbar_large_d_max_takes_bounded_passes(monkeypatch):
+    passes = []
+
+    def counted(bands):
+        passes.append(tridiagonal_spectra(bands))
+        return passes[-1]
+    monkeypatch.setattr(scalar, "tridiagonal_spectra", counted)
+    value = scalar_negativity_RRbar(1.7, TruncationConfig(d_max=500))
+    assert [len(p) for p in passes][0] == 400 and len(passes) == 2
+    assert value == _blockwise(1.7, sum(len(p) for p in passes) + 5)[0]
+
+
+def test_rrbar_huge_d_max_allocates_nothing_of_its_size():
+    want = scalar_negativity_RRbar(1.0, CFG)
+    tracemalloc.start()
+    try:
+        got = scalar_negativity_RRbar(1.0, TruncationConfig(d_max=10**12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 2**21
+
+
+@pytest.mark.parametrize("r", [19.1, 25.0, 200.0, 400.0])
+def test_rrbar_names_r_where_tanh_rounds_to_one(r):
+    with pytest.raises(TruncationError, match=f"r={r}"):
+        scalar_negativity_RRbar(r, CFG)
 
 
 def test_truncation_robustness():

@@ -8,9 +8,9 @@ three bipartitions, in closed form and through an independent constructive
 Fock-space route.
 """
 
-from .errors import (BasisError, ConvergenceError, NotAStateError,
-                     NotSymmetricError, OracleMismatchError, TruncationError,
-                     UnruhError)
+from .errors import (BasisError, ConvergenceError, MissingLapackError,
+                     NotAStateError, NotSymmetricError, OracleMismatchError,
+                     TruncationError, UnruhError)
 from .fock import (Bipartition, DensityMatrix, FieldKind, LabeledBasis,
                    SqueezingParam, StateVector, Subsystem, basis_state,
                    density_from_state, partial_trace, partial_transpose,

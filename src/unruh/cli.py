@@ -1,7 +1,7 @@
 """Command-line sweep driver.
 
-Exit codes: 0 success, 1 conservation-check failure, 2 usage error,
-3 computation error in at least one grid row.
+Exit codes: 0 success, 1 conservation-check failure, 2 usage error or
+missing LAPACK routine, 3 computation error in at least one grid row.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import math
 import sys
 from dataclasses import fields
 
+from .errors import MissingLapackError
 from .fock import FieldKind
 from .scalar import HardcoreConfig
 from .sweep import (CHECK_NAMES, PRESETS, SweepConfig, check_report,
@@ -102,6 +103,9 @@ def main(argv=None) -> int:
         return 2
     try:
         result = run_sweep(cfg)
+    except MissingLapackError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"error: cannot write {cfg.out}: {exc}", file=sys.stderr)
         return 2

@@ -25,6 +25,14 @@ class ConvergenceError(UnruhError):
         self.partial_value = partial_value
 
 
+class MissingLapackError(ImportError):
+    """No LAPACK routine the package needs can be found in this process.
+
+    Not an ``UnruhError``: the installation is at fault, not a point, so a
+    sweep stops on it instead of turning every row into NaN.
+    """
+
+
 class NotAStateError(UnruhError):
     """A matrix expected to be a density matrix is not positive semidefinite."""
 

@@ -5,15 +5,22 @@ Dense matrices go to LAPACK through ``numpy.linalg.eigvalsh``
 (:func:`tridiagonal_eigenvalues`, and :func:`tridiagonal_spectra` for many
 blocks at once). Both return the full spectrum sorted in descending order.
 
-``dsterf`` is reached through the function pointer that
-``scipy.linalg.cython_lapack`` exports, called by ``ctypes``, which
-releases the GIL for the call. So :func:`tridiagonal_spectra` spreads its
-blocks over the calling thread and a pool of one thread less than the
-process has usable CPUs (its CPU affinity; restrict it with ``taskset`` to
-use fewer), with one fork and join per call. Each block is solved alone,
-in one working copy whose diagonal becomes its spectrum, so the spectra
-are bitwise the same for any number of threads. The pool is made on
-first need and dropped in a forked child.
+``dsterf`` comes from the LAPACK that numpy has already loaded: the
+OpenBLAS bundled with numpy's Linux wheels exports it as
+``scipy_dsterf_64_``. It is looked up on the first tridiagonal solve, not
+at import. Where numpy exports none of the names looked for (Windows,
+macOS Accelerate or MKL builds may not), the function pointer that
+``scipy.linalg.cython_lapack`` exports is used instead, and only then is
+scipy imported; both run the same reference routine, and its spectra are
+the same. With neither, a solve raises ``MissingLapackError``. Either
+way ``dsterf`` is called by ``ctypes``, which releases the GIL for the
+call. So :func:`tridiagonal_spectra` spreads its blocks over the calling
+thread and a pool of one thread less than the process has usable CPUs
+(its CPU affinity; restrict it with ``taskset`` to use fewer), with one
+fork and join per call. Each block is solved alone, in one working copy
+whose diagonal becomes its spectrum, so the spectra are bitwise the same
+for any number of threads. The pool is made on first need and dropped in
+a forked child.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import threading
 
 import numpy as np
 
-from .errors import ConvergenceError, NotSymmetricError
+from .errors import ConvergenceError, MissingLapackError, NotSymmetricError
 
 _SYM_TOL = 1e-12
 
@@ -51,28 +58,59 @@ def sym_eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(check_symmetric(m))[::-1].copy()
 
 
+# names numpy's bundled OpenBLAS exports dsterf under; the `64_` suffix
+# marks its ILP64 build, whose integers are 64-bit. A bare `dsterf_` may have
+# either width, so it is not looked for
+_DSTERF_NAMES = ("scipy_dsterf_64_", "dsterf_64_", "scipy_dsterf_")
 # the prototype `scipy.linalg.cython_lapack` declares for dsterf; `d` is
 # its typedef of double
 _DSTERF_SIGNATURE = r"void \(int \*, (\w*cython_lapack_d) \*, \1 \*, int \*\)"
 
 
-@functools.cache
-def _dsterf():
-    """LAPACK ``dsterf(n, d, e, info)`` from scipy's Cython LAPACK capsule,
-    as a ``ctypes`` function that runs without the GIL. The first call
-    imports scipy."""
-    from scipy.linalg import cython_lapack
+def _numpy_dsterf(lib):
+    """(address of dsterf, its integer type) under the first of
+    ``_DSTERF_NAMES`` that ``lib`` exports, else None."""
+    for name in _DSTERF_NAMES:
+        if hasattr(lib, name):
+            int_t = ctypes.c_int64 if name.endswith("64_") else ctypes.c_int
+            return ctypes.cast(getattr(lib, name), ctypes.c_void_p).value, int_t
+    return None
 
+
+def _scipy_dsterf():
+    """(address of dsterf, ``c_int``) from scipy's Cython LAPACK capsule."""
+    try:
+        from scipy.linalg import cython_lapack
+    except ImportError as err:
+        raise MissingLapackError(
+            f"LAPACK dsterf not found: numpy's LAPACK exports none of "
+            f"{', '.join(_DSTERF_NAMES)} and scipy cannot be imported; "
+            f"install it with pip install scipy") from err
     capsule = cython_lapack.__pyx_capi__["dsterf"]
     api = ctypes.pythonapi
     name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", api))(capsule)
     if not re.fullmatch(_DSTERF_SIGNATURE, name.decode()):
-        raise ImportError(f"scipy's Cython LAPACK declares dsterf as {name.decode()!r}")
-    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api))(capsule, name)
-    int_p = ctypes.POINTER(ctypes.c_int)
-    return ctypes.CFUNCTYPE(None, int_p, ctypes.c_void_p, ctypes.c_void_p, int_p)(pointer)
+        raise MissingLapackError(f"LAPACK dsterf not found: scipy's Cython LAPACK "
+                                 f"declares it as {name.decode()!r}")
+    return ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))(capsule, name), ctypes.c_int
+
+
+@functools.cache
+def _dsterf():
+    """(LAPACK ``dsterf(n, d, e, info)`` as a ``ctypes`` function that runs
+    without the GIL, the integer type of ``n`` and ``info``): numpy's, else
+    scipy's. ``MissingLapackError`` if neither has it."""
+    try:
+        from numpy.linalg import _umath_linalg
+        found = _numpy_dsterf(ctypes.CDLL(_umath_linalg.__file__))
+    except (ImportError, AttributeError, OSError):  # not a shared library here
+        found = None
+    pointer, int_t = found or _scipy_dsterf()
+    int_p = ctypes.POINTER(int_t)
+    dsterf = ctypes.CFUNCTYPE(None, int_p, ctypes.c_void_p, ctypes.c_void_p, int_p)
+    return dsterf(pointer), int_t
 
 
 def _bands(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
@@ -89,9 +127,10 @@ def _bands(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
 def _solve(diag: np.ndarray, offdiag: np.ndarray) -> int:
     """Overwrite the bands from :func:`_bands` with the ascending spectrum
     (``diag``) and scratch (``offdiag``); return LAPACK's ``info``."""
-    info = ctypes.c_int(0)
-    _dsterf()(ctypes.byref(ctypes.c_int(diag.size)), diag.ctypes.data,
-              offdiag.ctypes.data, ctypes.byref(info))
+    dsterf, int_t = _dsterf()
+    info = int_t(0)
+    dsterf(ctypes.byref(int_t(diag.size)), diag.ctypes.data, offdiag.ctypes.data,
+           ctypes.byref(info))
     return info.value
 
 
@@ -168,7 +207,7 @@ def tridiagonal_spectra(bands) -> list[np.ndarray]:
     list of the spectra before it.
     """
     blocks = [_bands(diag, offdiag) for diag, offdiag in bands]
-    _dsterf()  # scipy is imported on this thread: on two at once it takes longer
+    _dsterf()  # looked up here, before a pool thread needs it
     cpus = _usable_cpus()
     shares = max(1, min(len(blocks), cpus))
     pool = _executor(cpus - 1) if shares > 1 else None

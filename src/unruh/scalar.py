@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConvergenceError, NotAStateError, TruncationError
 from .fock import (Bipartition, DensityMatrix, FieldKind, LabeledBasis,
                    SqueezingParam, StateVector, Subsystem, _r_value)
-from .linalg import tridiagonal_spectra
+from .linalg import tridiagonal_eigenvalues, tridiagonal_spectra
 from .measures import (NEGATIVITY_ZERO_TOL, PSD_TOL, entropy_from_eigenvalues,
                        mutual_informations, negativity_from_pt_eigenvalues)
 from .report import CorrelationReport
@@ -713,8 +713,9 @@ def hardcore_negativity_RRbar(r, hc: HardcoreConfig, blocks: list | None = None)
     pairs (j+1, j) with (D-1-j, D-2-j); in these blocks only the second
     squeezed-sum index can pass the cap, so the positions below
     2(D-1-cap)-1 are dropped. ``renormalized`` divides by the kept mass,
-    the sum of the block traces. Blocks are eigensolved by numpy, never
-    scipy, and with no symmetry check: they are symmetric by construction.
+    the sum of the block traces. Each block is solved on the calling
+    thread by :func:`tridiagonal_eigenvalues`, the ``dsterf`` of the scalar
+    sum, so no pool is started.
     ``blocks`` as in :func:`scalar_negativity_RRbar`;
     ``TruncationError`` past the one-particle mass rule.
     """
@@ -726,7 +727,7 @@ def hardcore_negativity_RRbar(r, hc: HardcoreConfig, blocks: list | None = None)
     for D, (diag, off) in enumerate(bands, start=1):
         off[:max(0, 2 * (D - 1 - hc.cap) - 1)] = 0.0
         diag, off = diag / mass, off / mass
-        eigs = np.linalg.eigvalsh(_tridiagonal(diag, off))[::-1]
+        eigs = tridiagonal_eigenvalues(diag, off)
         if blocks is not None:
             blocks.append((diag, off, eigs))
         total += negativity_from_pt_eigenvalues(eigs)

@@ -1,6 +1,8 @@
+import ctypes
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -132,21 +134,133 @@ def test_spectra_from_concurrent_callers(monkeypatch):
     assert got == [want] * 8
 
 
-def test_import_does_not_load_scipy():
-    # scipy is only needed by the tridiagonal path, imported on first use;
-    # Dirac and hardcore reports, oracle included, never reach it: the
-    # hardcore Rob-AntiRob blocks, 34 of them at cap 16, go to numpy. Nor
-    # do they start the tridiagonal path's thread pool
+# a meta-path finder that refuses every scipy import, for subprocesses
+NO_SCIPY = ("import sys\n"
+            "class NoScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ImportError('scipy refused: ' + name)\n"
+            "sys.meta_path.insert(0, NoScipy())\n")
+
+
+def _python(code, check=True, cwd=None):
     import unruh
     src = os.path.dirname(os.path.dirname(unruh.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=check, cwd=cwd,
+                          capture_output=True, text=True)
+
+
+def _numpy_lapack():
+    from numpy.linalg import _umath_linalg
+    return ctypes.CDLL(_umath_linalg.__file__)
+
+
+needs_numpy_dsterf = pytest.mark.skipif(
+    linalg._numpy_dsterf(_numpy_lapack()) is None,
+    reason="numpy's LAPACK exports no dsterf here: the scalar path needs scipy")
+
+
+@needs_numpy_dsterf
+def test_import_does_not_load_scipy():
+    # the tridiagonal path takes dsterf from numpy's own LAPACK, looked up
+    # on first use: no report loads scipy. Dirac and hardcore reports, oracle
+    # included, start no thread pool either: the hardcore Rob-AntiRob blocks,
+    # 34 of them at cap 16, are solved on the calling thread
     code = ("import sys, threading, unruh; "
+            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
             "unruh.dirac_report(0.3); "
             "unruh.hardcore_report(0.3, unruh.HardcoreConfig(cap=2)); "
             "unruh.hardcore_report(1.3, unruh.HardcoreConfig(cap=16, mode='renormalized')); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
-            "or m == 'concurrent.futures'), threading.active_count())")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[] 1"
+            "print(scipy() + [m for m in sys.modules if m == 'concurrent.futures'], "
+            "threading.active_count()); "
+            "unruh.scalar_report(1.5); "
+            "print(scipy())")
+    assert _python(code).stdout.split("\n")[:2] == ["[] 1", "[]"]
+
+
+@needs_numpy_dsterf
+def test_sweep_without_scipy_is_byte_identical(tmp_path):
+    from unruh import cli
+    assert cli.main(["--preset", "fig4", "--out", str(tmp_path / "normal.csv")]) == 0
+    _python(NO_SCIPY + "from unruh import cli\n"
+            "sys.exit(cli.main(['--preset', 'fig4', '--out', 'refused.csv']))\n",
+            cwd=tmp_path)
+    normal = (tmp_path / "normal.csv").read_bytes()
+    assert (tmp_path / "refused.csv").read_bytes() == normal
+
+
+@pytest.mark.parametrize("field", [["scalar"], ["hardcore", "--cap", "2"]])
+def test_missing_lapack_is_one_error_line(tmp_path, field):
+    # neither numpy's LAPACK nor scipy has dsterf
+    argv = ["--field", *field, "--r-max", "0.5", "--steps", "3"]
+    proc = _python(NO_SCIPY + "from unruh import cli, linalg\n"
+                   "linalg._DSTERF_NAMES = ()\n"
+                   f"sys.exit(cli.main({argv!r}))\n", check=False, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: LAPACK dsterf not found")
+    assert "pip install scipy" in lines[0] and proc.stdout == ""
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.fixture
+def fresh_lookup():
+    # the lookup is cached per process: forget it before and after a test
+    # that forces a route
+    linalg._dsterf.cache_clear()
+    yield
+    linalg._dsterf.cache_clear()
+
+
+def _spectra_by_route(monkeypatch, bands):
+    """(numpy-route spectra, scipy-capsule spectra) of every band."""
+    pytest.importorskip("scipy.linalg.cython_lapack")
+    ours = [s.tobytes() for s in tridiagonal_spectra(bands)]
+    monkeypatch.setattr(linalg, "_DSTERF_NAMES", ())
+    linalg._dsterf.cache_clear()
+    assert linalg._dsterf()[1] is ctypes.c_int
+    return ours, [s.tobytes() for s in tridiagonal_spectra(bands)]
+
+
+@needs_numpy_dsterf
+@pytest.mark.parametrize("r", [0.3, 1.0, 1.5, 1.65])
+def test_scipy_fallback_matches_numpy_route_on_closed_blocks(fresh_lookup, monkeypatch, r):
+    from unruh.scalar import rrbar_block_diagonals
+    ours, fallback = _spectra_by_route(
+        monkeypatch, [rrbar_block_diagonals(r, D) for D in range(1, 401)])
+    assert fallback == ours
+
+
+@needs_numpy_dsterf
+def test_scipy_fallback_matches_numpy_route_on_random_bands(fresh_lookup, monkeypatch):
+    # the bands of test_tridiagonal_matches_scipy_bitwise
+    rng = np.random.default_rng(13)
+    bands = [(rng.standard_normal(n), rng.standard_normal(n - 1))
+             for n in (2, 3, 9, 64, 200)]
+    ours, fallback = _spectra_by_route(monkeypatch, bands)
+    assert fallback == ours
+
+
+def test_dsterf_integer_width_follows_the_symbol(fresh_lookup, monkeypatch):
+    real = getattr(_numpy_lapack(), "scipy_dsterf_64_", None)
+    if real is None:
+        pytest.skip("numpy exports no scipy_dsterf_64_ here")
+    widths = {"scipy_dsterf_64_": ctypes.c_int64, "dsterf_64_": ctypes.c_int64,
+              "scipy_dsterf_": ctypes.c_int}
+    assert set(widths) == set(linalg._DSTERF_NAMES)
+    for name, width in widths.items():
+        assert linalg._numpy_dsterf(types.SimpleNamespace(**{name: real}))[1] is width
+    # a bare name may have either width: not trusted
+    assert linalg._numpy_dsterf(types.SimpleNamespace(dsterf_=real)) is None
+    # the function this process calls, then the capsule's
+    dsterf, int_t = linalg._dsterf()
+    assert int_t is ctypes.c_int64
+    assert [a._type_ for a in dsterf.argtypes[::3]] == [int_t, int_t]
+    pytest.importorskip("scipy.linalg.cython_lapack")
+    monkeypatch.setattr(linalg, "_DSTERF_NAMES", ())
+    linalg._dsterf.cache_clear()
+    dsterf, int_t = linalg._dsterf()
+    assert int_t is ctypes.c_int
+    assert [a._type_ for a in dsterf.argtypes[::3]] == [int_t, int_t]

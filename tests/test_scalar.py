@@ -932,18 +932,21 @@ def test_rrbar_block_past_float_range_is_a_typed_error():
 @pytest.mark.parametrize("cap", [2, 16])
 @pytest.mark.parametrize("mode", HardcoreConfig.MODES)
 def test_hardcore_report_eigensolves_only_its_rrbar_blocks(monkeypatch, cap, mode):
-    # neither route reduces or partially transposes a dense matrix, and the
-    # only eigensolves are the Rob-AntiRob blocks D = 1..2 cap + 2, once each
-    eigvalsh, orders = np.linalg.eigvalsh, []
+    # neither route reduces, partially transposes or eigensolves a dense
+    # matrix, and the only eigensolves are the Rob-AntiRob blocks
+    # D = 1..2 cap + 2, once each; every block eigensolve, on any thread,
+    # goes through linalg._solve
+    solve, orders = linalg._solve, []
 
-    def counted(a, *args, **kwargs):
-        orders.append(a.shape[-1])
-        return eigvalsh(a, *args, **kwargs)
+    def counted(diag, offdiag):
+        orders.append(diag.size)
+        return solve(diag, offdiag)
 
     def refused(*args, **kwargs):
-        raise AssertionError("a hardcore report reduced a dense matrix")
+        raise AssertionError("a hardcore report reduced or eigensolved a dense matrix")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(linalg, "_solve", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
     for module in (fock, measures, scalar):
         for name in ("partial_trace", "partial_transpose", "reduced_density_matrix"):
             if hasattr(module, name):

@@ -67,30 +67,17 @@ def config_from_args(args) -> SweepConfig:
         raise ValueError("either --field or --preset is required")
     if args.field is not None:
         kwargs["field_kind"] = _FIELDS[args.field]
-    if args.r_min is not None:
-        kwargs["r_min"] = args.r_min
-    if args.r_max is not None:
-        kwargs["r_max"] = args.r_max
-    if args.steps is not None:
-        kwargs["steps"] = args.steps
-    if args.cap is not None:
-        kwargs["cap"] = args.cap
-    if args.hardcore_mode is not None:
-        kwargs["hardcore_mode"] = args.hardcore_mode
-    if args.tail_tol is not None:
-        kwargs["tail_tol"] = args.tail_tol
-    if args.d_max is not None:
-        kwargs["d_max"] = args.d_max
+    for name in ("r_min", "r_max", "steps", "cap", "hardcore_mode", "tail_tol", "d_max"):
+        if getattr(args, name) is not None:
+            kwargs[name] = getattr(args, name)
     if args.checks is not None:
         kwargs["checks"] = () if "none" in args.checks else tuple(args.checks)
     if args.no_oracle:
         kwargs["oracle"] = False
     if args.out is not None:
         kwargs["out"] = args.out
-    elif args.preset is not None:
-        kwargs["out"] = f"{args.preset}.csv"
     else:
-        kwargs["out"] = "sweep.csv"
+        kwargs["out"] = "sweep.csv" if args.preset is None else f"{args.preset}.csv"
     return SweepConfig(**kwargs)
 
 

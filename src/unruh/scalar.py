@@ -370,12 +370,13 @@ def scalar_negativity_AR(r, cfg: TruncationConfig = TruncationConfig()) -> float
 
     Each 2x2 block of the partial transpose contributes one non-positive
     eigenvalue; terms are summed until both the term and its geometric tail
-    bound drop below tail_tol. Starts at 1/2 in the inertial limit and
-    decays to zero with acceleration. Raises ``TruncationError`` from
+    bound drop below tail_tol. Starts at 1/2 - r^2 + O(r^4), 1/2 to double
+    precision below r = 1e-9 (where the series overflows, from r ~ 1e-77),
+    and decays to zero with acceleration. Raises ``TruncationError`` from
     r ~ 19.06, where tanh^2 r rounds to 1 and the tail has no bound.
     """
     rv = _r_value(r, FieldKind.SCALAR)
-    if rv == 0.0:
+    if rv < 1e-9:
         return 0.5
     t = math.tanh(rv)
     x = t * t
@@ -539,6 +540,18 @@ def _closed_bands(rv: float, sizes: range) -> list[tuple[np.ndarray, np.ndarray]
     return _split_bands(a, starts, size)
 
 
+def _diagonal_couplings(v0: np.ndarray, v1: np.ndarray, run: range) -> tuple:
+    """(couplings, starts, sizes) of blocks D in ``run`` laid end to end
+    (:func:`_positions`), read off the diagonals as :func:`rrbar_bands` says."""
+    size = np.array(run)
+    starts, block, ell = _positions(size)
+    i = ell // 2
+    a = np.where(ell % 2 == 0, v0[i] * v0[block - 1 - i],
+                 v1[i] * v1[np.maximum(block - 2 - i, 0)])
+    a += 0.0  # the dense block sums from zero, so a -0.0 product reads +0.0
+    return a, starts, size
+
+
 def rrbar_bands(psi: StateVector, n_blocks: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """(diagonal, off-diagonal) of the Rob-AntiRob partial-transpose blocks
     D = 1..n_blocks of ``psi``, block D at index D - 1, equal bitwise to
@@ -548,20 +561,15 @@ def rrbar_bands(psi: StateVector, n_blocks: int) -> list[tuple[np.ndarray, np.nd
     With n_i + m_i = n_j + m_j = D - 1 both labels lie on one offset n - m,
     and on offsets 0 and 1, where the scalar state lives, every such pair
     falls on the band. So the blocks are tridiagonal and read off the
-    state's two diagonals (:func:`scalar_diagonals`), all at once: position
-    2i of block D holds v0[i] v0[D-1-i] and position 2j+1 holds
-    v1[j] v1[D-2-j], the last position on the diagonal. Raises
+    state's two diagonals (:func:`scalar_diagonals`), ``_PIECE`` entries at
+    a time: position 2i of block D holds v0[i] v0[D-1-i] and position 2j+1
+    holds v1[j] v1[D-2-j], the last position on the diagonal. Raises
     ``NotAStateError`` on any amplitude off those diagonals, so the check
     covers every block, not only those asked for.
     """
     v0, v1 = scalar_diagonals(psi, n_blocks)
-    size = np.arange(1, n_blocks + 1)
-    starts, block, ell = _positions(size)
-    i = ell // 2
-    a = np.where(ell % 2 == 0, v0[i] * v0[block - 1 - i],
-                 v1[i] * v1[np.maximum(block - 2 - i, 0)])
-    a += 0.0  # the dense block sums from zero, so a -0.0 product reads +0.0
-    return _split_bands(a, starts, size)
+    return [band for run in _runs(1, n_blocks, _PIECE)
+            for band in _split_bands(*_diagonal_couplings(v0, v1, run))]
 
 
 def _rrbar_row_bound(t: float, ch2: float, D: int) -> float:
@@ -593,7 +601,8 @@ def scalar_negativity_RRbar(r, cfg: TruncationConfig = TruncationConfig(),
     blocks add 0.0 and are never built. One :func:`tridiagonal_spectra`
     call solves each ``_BAND_BUDGET`` band entries. ``ConvergenceError``
     carries the sum before a failed block, or of blocks 1..d_max if
-    K > d_max; ``TruncationError`` names r where tanh r rounds to 1. If
+    K > d_max. ``TruncationError`` names r where tanh r rounds to 1, or
+    where K = 1 (from r ~ 14.2), for there the thresholded sum reads 0. If
     ``blocks`` is a list, the (diagonal, off-diagonal, spectrum) of every
     block summed is appended to it, block D at index D - 1, and only then
     are the bands kept past their solve.
@@ -607,6 +616,9 @@ def scalar_negativity_RRbar(r, cfg: TruncationConfig = TruncationConfig(),
                               f"block bound has no falling tail")
     last = 1 + bisect.bisect_left(range(2, cfg.d_max + 2), True, key=lambda D: (
         _rrbar_row_bound(t, ch2, D) * (1.0 + 1e-6) < NEGATIVITY_ZERO_TOL))
+    if last == 1:  # block 1 is one non-negative entry
+        raise TruncationError(f"every Rob-AntiRob block past the first lies below "
+                              f"{NEGATIVITY_ZERO_TOL:.0e} at r={rv}: the sum has no value")
     total = 0.0
     for run in _runs(1, min(last, cfg.d_max), _BAND_BUDGET):
         bands = (band for piece in _runs(run.start, run.stop - 1, _PIECE)
@@ -637,33 +649,34 @@ def rrbar_mirsky_bound(psi: StateVector, blocks) -> float:
     :func:`scalar_negativity_RRbar` or :func:`hardcore_negativity_RRbar`;
     each is compared with the band of the same block read off the two
     diagonals of ``psi`` (:func:`rrbar_bands`), so no constructive block is
-    built or eigensolved. For blocks B and B'
-    with eigenvalues sorted alike, Mirsky's inequality gives
+    built or eigensolved. For blocks B and B' with eigenvalues sorted alike,
+    Mirsky's inequality gives
     sum |l_i(B) - l_i(B')| <= ||B - B'||_1 <= sum |d diag| + 2 sum |d off|
     (each off-diagonal pair is a rank-2 piece of trace norm 2 |d off|).
     Negativity drops eigenvalues in [-tol, 0), tol = NEGATIVITY_ZERO_TOL,
     so a pair can differ by tol more only if it straddles -tol, which puts
     the closed eigenvalue within the band distance of -tol; each such
-    eigenvalue adds tol. All blocks are summed at once. Blocks after the
-    last one recorded are not compared. Raises ``NotAStateError`` if any
-    amplitude of ``psi`` lies off the diagonals that make every block
-    tridiagonal.
+    eigenvalue adds tol. The blocks are read in the closed sum's runs of at
+    most ``_PIECE`` band entries; only the per-block distances span them
+    all. Blocks after the last one recorded are not compared. Raises
+    ``NotAStateError`` if any amplitude of ``psi`` lies off the diagonals
+    that make every block tridiagonal.
     """
-    bands = rrbar_bands(psi, len(blocks))  # checks the support, blocks or none
-    if not blocks:
-        return 0.0
-    diag, off, eigs = (np.concatenate(part) for part in zip(*blocks))
-    built_diag, built_off = (np.concatenate(part) for part in zip(*bands))
-    size = np.arange(1, len(blocks) + 1)
-    starts = np.cumsum(size) - size
-    # position ell < D - 1 of block D carries its off-diagonal entry ell
-    has_off = np.ones(diag.size, dtype=bool)
-    has_off[starts + size - 1] = False
-    gap = np.abs(diag - built_diag)
-    gap[has_off] += 2.0 * np.abs(off - built_off)
-    dist = np.add.reduceat(gap, starts)
-    straddling = np.abs(eigs + NEGATIVITY_ZERO_TOL) <= np.repeat(dist, size)
-    return float(dist.sum() + NEGATIVITY_ZERO_TOL * np.count_nonzero(straddling))
+    v0, v1 = scalar_diagonals(psi, len(blocks))  # checks the support, blocks or none
+    dist, straddling = np.empty(len(blocks)), 0
+    for run in _runs(1, len(blocks), _PIECE):
+        a, starts, size = _diagonal_couplings(v0, v1, run)
+        diag, off, eigs = (np.concatenate(part)
+                           for part in zip(*blocks[run.start - 1:run.stop - 1]))
+        # position ell < D - 1 of block D carries its off-diagonal entry ell
+        has_off = np.ones(a.size, dtype=bool)
+        has_off[starts + size - 1] = False
+        gap = np.abs(diag - np.where(has_off, 0.0, a))
+        gap[has_off] += 2.0 * np.abs(off - a[has_off])
+        d = dist[run.start - 1:run.stop - 1] = np.add.reduceat(gap, starts)
+        straddling += np.count_nonzero(np.abs(eigs + NEGATIVITY_ZERO_TOL)
+                                       <= np.repeat(d, size))
+    return float(dist.sum() + NEGATIVITY_ZERO_TOL * straddling)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from unruh.errors import NotAStateError, TruncationError  # noqa: E402
 from unruh.fock import (Bipartition, StateVector, Subsystem,  # noqa: E402
@@ -19,6 +19,7 @@ from unruh.scalar import (HardcoreConfig, TruncationConfig,  # noqa: E402
                           hardcore_closed_measures, hardcore_report,
                           hardcore_rho, hardcore_tripartite_state, rrbar_bands,
                           rrbar_block_constructive, scalar_constructive_measures,
+                          scalar_negativity_RRbar, scalar_report,
                           scalar_tripartite_state)
 
 R = st.floats(min_value=0.0, max_value=25.0)
@@ -133,3 +134,14 @@ def test_hardcore_diagonal_read_is_the_dense_oracle(cap, mode, r):
         block = rrbar_block_constructive(psi, d)
         assert diag.tobytes() == np.diag(block).tobytes(), (d, cap, mode, r)
         assert off.tobytes() == np.diag(block, 1).tobytes(), (d, cap, mode, r)
+
+
+@settings(max_examples=20)
+@given(r=st.floats(min_value=0.0, max_value=1.65, exclude_min=True))
+def test_scalar_row_keeps_its_laws_and_n_rrbar_rises(r):
+    rep = scalar_report(r)
+    assert rep.oracle_discrepancy <= 1e-9, (r, rep.oracle_discrepancy)
+    assert rep.N_ARbar == 0.0
+    assert abs(rep.I_AR + rep.I_ARbar - 2.0) <= 1e-8, (r, rep.I_AR, rep.I_ARbar)
+    if r + 0.01 <= 1.65:
+        assert scalar_negativity_RRbar(r + 0.01) > rep.N_RRbar, r

@@ -312,6 +312,13 @@ def test_negativity_ar_series_values():
         assert abs(scalar_negativity_AR(r, CFG) - brute) < 1e-9
 
 
+@pytest.mark.parametrize("r", [5e-324, 2.2e-224, 1e-100, 1e-77, 1e-20, 5e-9])
+def test_negativity_ar_is_one_half_to_double_precision_at_tiny_r(r):
+    # 1/2 - r^2 + O(r^4); the series divides by sinh^2 r, which overflows
+    # its couplings below r ~ 1e-77 and underflows to 0 below r ~ 1e-162
+    assert scalar_negativity_AR(r, CFG) == 0.5
+
+
 def test_negativity_ar_decreasing():
     grid = np.linspace(0.0, 1.5, 40)
     vals = [scalar_negativity_AR(r, CFG) for r in grid]
@@ -511,6 +518,9 @@ def test_oracle_rejects_off_band_amplitudes():
         [(0, 3, 1), (0, 5, 3)])
     with pytest.raises(NotAStateError):
         rrbar_mirsky_bound(psi, _closed_blocks(0.6)[1])
+    with pytest.raises(NotAStateError):  # the support is checked with no block too
+        rrbar_mirsky_bound(psi, [])
+    assert rrbar_mirsky_bound(_oracle_state(0.6), []) == 0.0
 
 
 def test_oracle_reads_bands_not_dense_blocks(monkeypatch):
@@ -552,6 +562,110 @@ def test_mirsky_bound_covers_perturbed_blocks(r, eps):
     assert abs(closed - _constructive_rrbar_negativity(psi, len(blocks))) <= bound
     # and it is not vacuous: far below the value, far above rounding
     assert 1e-3 * eps < bound < 1e2 * eps
+
+
+def _whole_range_bands(psi, n_blocks):
+    """Reference: every band of blocks 1..n_blocks from arrays as long as
+    all of them, as the bands were read before they were read in runs."""
+    v0, v1 = scalar.scalar_diagonals(psi, n_blocks)
+    size = np.arange(1, n_blocks + 1)
+    starts = np.cumsum(size) - size
+    block, ell = np.repeat(size, size), np.arange(size.sum()) - np.repeat(starts, size)
+    i = ell // 2
+    a = np.where(ell % 2 == 0, v0[i] * v0[block - 1 - i],
+                 v1[i] * v1[np.maximum(block - 2 - i, 0)])
+    a += 0.0
+    last = starts + size - 1
+    diag = np.zeros(a.size)
+    diag[last] = a[last]
+    return [(diag[s:e], a[s:e - 1]) for s, e in zip(starts.tolist(), (last + 1).tolist())]
+
+
+def _whole_range_bound(psi, blocks):
+    """Reference: the Mirsky bound from every block at once, as it was
+    formed before the blocks were read in runs."""
+    bands = _whole_range_bands(psi, len(blocks))
+    if not blocks:
+        return 0.0
+    diag, off, eigs = (np.concatenate(part) for part in zip(*blocks))
+    built_diag, built_off = (np.concatenate(part) for part in zip(*bands))
+    size = np.arange(1, len(blocks) + 1)
+    starts = np.cumsum(size) - size
+    has_off = np.ones(diag.size, dtype=bool)
+    has_off[starts + size - 1] = False
+    gap = np.abs(diag - built_diag)
+    gap[has_off] += 2.0 * np.abs(off - built_off)
+    dist = np.add.reduceat(gap, starts)
+    straddling = np.abs(eigs + measures.NEGATIVITY_ZERO_TOL) <= np.repeat(dist, size)
+    return float(dist.sum() + measures.NEGATIVITY_ZERO_TOL * np.count_nonzero(straddling))
+
+
+def _assert_pieced_is_whole_range(psi, blocks):
+    assert rrbar_mirsky_bound(psi, blocks).hex() == _whole_range_bound(psi, blocks).hex()
+    got, want = rrbar_bands(psi, len(blocks)), _whole_range_bands(psi, len(blocks))
+    assert len(got) == len(want)
+    for (diag, off), (want_diag, want_off) in zip(got, want):
+        assert diag.tobytes() == want_diag.tobytes()
+        assert off.tobytes() == want_off.tobytes()
+
+
+@pytest.mark.parametrize("r,entries", [(0.3, 325), (0.9, 4005), (1.5, 41616),
+                                       (1.65, 73920)])
+@pytest.mark.parametrize("eps", [0.0, 1e-10, 1e-6])
+def test_pieced_mirsky_bound_is_the_whole_range_bound(r, entries, eps):
+    # past r = 0.3 the band entries outnumber _PIECE, so runs end inside
+    # the block list
+    _, blocks = _closed_blocks(r)
+    assert sum(diag.size for diag, _, _ in blocks) == entries
+    psi = _oracle_state(r)
+    _assert_pieced_is_whole_range(_scaled_beyond(psi, eps) if eps else psi, blocks)
+
+
+@pytest.mark.parametrize("cap", [2, 16])
+@pytest.mark.parametrize("mode", HardcoreConfig.MODES)
+def test_pieced_mirsky_bound_is_the_whole_range_bound_for_hardcore(cap, mode):
+    hc = HardcoreConfig(cap=cap, mode=mode)
+    for r in (0.4, 1.3, 6.0):
+        blocks = []
+        scalar.hardcore_negativity_RRbar(r, hc, blocks)
+        _assert_pieced_is_whole_range(hardcore_tripartite_state(r, hc), blocks)
+
+
+def test_pieced_mirsky_bound_with_runs_of_a_few_entries(monkeypatch):
+    # runs of at most 5 entries: single-block runs from block 3 on
+    monkeypatch.setattr(scalar, "_PIECE", 5)
+    _, blocks = _closed_blocks(0.9)
+    _assert_pieced_is_whole_range(_scaled_beyond(_oracle_state(0.9), 1e-6), blocks)
+    _assert_pieced_is_whole_range(_oracle_state(0.9), blocks[:1])
+
+
+@pytest.mark.parametrize("r", [1.0, 1.65])
+def test_mirsky_bound_allocates_in_bounded_runs(r):
+    # only the per-block distances span all blocks; the bands of a run
+    # hold at most _PIECE entries (the whole-range bound peaks at 0.56 MB
+    # at r = 1.0 and 6.7 MB at r = 1.65)
+    _, blocks = _closed_blocks(r)
+    deep = _oracle_state(r)
+    tracemalloc.start()
+    try:
+        rrbar_mirsky_bound(deep, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000, peak
+
+
+def test_scalar_report_peak_allocation():
+    # the deep state (1.6 MB at r = 1.5) and the recorded blocks are the
+    # report's largest arrays; the whole-range oracle took it to 6.5 MB
+    scalar_report(1.5, CFG)  # start the pool and find dsterf first
+    tracemalloc.start()
+    try:
+        scalar_report(1.5, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
 
 
 def test_mirsky_bound_counts_threshold_straddling():
@@ -700,6 +814,14 @@ def test_rrbar_huge_d_max_allocates_nothing_of_its_size():
 @pytest.mark.parametrize("r", [19.1, 25.0, 200.0, 400.0])
 def test_rrbar_names_r_where_tanh_rounds_to_one(r):
     with pytest.raises(TruncationError, match=f"r={r}"):
+        scalar_negativity_RRbar(r, CFG)
+
+
+@pytest.mark.parametrize("r", [14.2, 14.3, 18.0])
+def test_rrbar_names_r_where_every_block_drops_below_the_tolerance(r):
+    # G_2 < 1e-12 stops the sum at the 1 x 1 block, which has no negative
+    # eigenvalue: the thresholded sum would read 0 for an unbounded value
+    with pytest.raises(TruncationError, match=f"past the first .* r={r}"):
         scalar_negativity_RRbar(r, CFG)
 
 
@@ -957,14 +1079,15 @@ def test_hardcore_report_eigensolves_only_its_rrbar_blocks(monkeypatch, cap, mod
 
 
 def test_hardcore_oracle_catches_a_perturbed_coupling(monkeypatch):
-    bands = scalar.rrbar_bands
+    couplings = scalar._diagonal_couplings
 
-    def perturbed(psi, n_blocks):
-        out = bands(psi, n_blocks)
-        out[3][1][1] *= 1.0 + 1e-6  # block D = 4, position 1
-        return out
+    def perturbed(v0, v1, run):
+        a, starts, size = couplings(v0, v1, run)
+        if 4 in run:
+            a[starts[4 - run.start] + 1] *= 1.0 + 1e-6  # block D = 4, position 1
+        return a, starts, size
 
-    monkeypatch.setattr(scalar, "rrbar_bands", perturbed)
+    monkeypatch.setattr(scalar, "_diagonal_couplings", perturbed)
     with pytest.raises(OracleMismatchError) as err:
         hardcore_report(0.9, HardcoreConfig(cap=2))
     assert err.value.discrepancy > 1e-9

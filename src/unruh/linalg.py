@@ -11,16 +11,15 @@ OpenBLAS bundled with numpy's Linux wheels exports it as
 at import. Where numpy exports none of the names looked for (Windows,
 macOS Accelerate or MKL builds may not), the function pointer that
 ``scipy.linalg.cython_lapack`` exports is used instead, and only then is
-scipy imported; both run the same reference routine, and its spectra are
-the same. With neither, a solve raises ``MissingLapackError``. Either
-way ``dsterf`` is called by ``ctypes``, which releases the GIL for the
-call. So :func:`tridiagonal_spectra` spreads its blocks over the calling
-thread and a pool of one thread less than the process has usable CPUs
-(its CPU affinity; restrict it with ``taskset`` to use fewer), with one
-fork and join per call. Each block is solved alone, in one working copy
-whose diagonal becomes its spectrum, so the spectra are bitwise the same
-for any number of threads. The pool is made on first need and dropped in
-a forked child.
+scipy imported; both run the same reference routine. With neither, a
+solve raises ``MissingLapackError``. ``dsterf`` is called by ``ctypes``,
+which releases the GIL, so :func:`_solve_blocks`, under
+:func:`tridiagonal_spectra` and the Rob-AntiRob block sums, spreads enough
+work over the calling thread and a pool of one thread less than the
+process has usable CPUs (its CPU affinity; restrict it with ``taskset``).
+Each block is solved alone, so the spectra are bitwise the same for any
+number of threads. The pool is made on first need and dropped in a
+forked child.
 """
 
 from __future__ import annotations
@@ -124,18 +123,18 @@ def _bands(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
     return diag, offdiag
 
 
-def _solve(diag: np.ndarray, offdiag: np.ndarray) -> int:
-    """Overwrite the bands from :func:`_bands` with the ascending spectrum
-    (``diag``) and scratch (``offdiag``); return LAPACK's ``info``."""
+def _solve(n: int, diag: int, offdiag: int) -> int:
+    """Overwrite the n x n bands at addresses ``diag`` and ``offdiag``, kept
+    alive by the caller, with the ascending spectrum and scratch; return
+    LAPACK's ``info``."""
     dsterf, int_t = _dsterf()
     info = int_t(0)
-    dsterf(ctypes.byref(int_t(diag.size)), diag.ctypes.data, offdiag.ctypes.data,
-           ctypes.byref(info))
+    dsterf(int_t(n), diag, offdiag, info)  # ctypes passes n and info by reference
     return info.value
 
 
 def _solve_all(blocks) -> list[int]:
-    return [_solve(diag, offdiag) for diag, offdiag in blocks]
+    return [_solve(n, diag, offdiag) for n, diag, offdiag in blocks]
 
 
 def _failure(n: int, info: int, partial_value=None) -> ConvergenceError:
@@ -150,15 +149,16 @@ def tridiagonal_eigenvalues(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray
     ``scipy.linalg.eigvalsh_tridiagonal`` reaches through ``dstevd``, so
     the spectrum is the same without the wrapper's per-call overhead. A
     nonzero ``info`` (no convergence, or non-finite input) raises
-    ``ConvergenceError``.
+    ``ConvergenceError``. :func:`tridiagonal_spectra` solves many blocks,
+    bitwise equal to one call per block.
     """
-    diag, offdiag = _bands(diag, offdiag)
-    info = _solve(diag, offdiag)
-    if info != 0:
-        raise _failure(diag.size, info)
-    return diag[::-1].copy()
+    return tridiagonal_spectra([(diag, offdiag)])[0].copy()
 
 
+# squared block orders in all below which the pool costs more than it saves:
+# blocks 1..K took 1.04-1.22 times the one-thread time on 2 CPUs at K = 40
+# (22,140), 0.90-0.94 times at K = 48 (38,024)
+_POOL_MIN_WORK = 30_000
 _pool = None  # (threads, ThreadPoolExecutor), made on first need
 _pool_lock = threading.Lock()
 
@@ -194,31 +194,43 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def tridiagonal_spectra(bands) -> list[np.ndarray]:
-    """:func:`tridiagonal_eigenvalues` of every ``(diag, offdiag)`` in
-    ``bands`` (any iterable, read once), in order, bitwise equal to one
-    call per block; each spectrum is a view of the block's working copy.
+def _solve_blocks(blocks) -> tuple[int, int]:
+    """Solve every ``(n, diag, offdiag)`` of ``blocks`` in place by
+    :func:`_solve`; return the number of blocks before the first LAPACK
+    fails on and its ``info`` (all, and 0, if none). The calling thread
+    solves every k-th, for k usable CPUs, and a pool of k - 1 threads the
+    others, unless the orders square to less than ``_POOL_MIN_WORK``."""
+    _dsterf()  # looked up here, before a pool thread needs it
+    pooled = sum(n * n for n, _, _ in blocks) >= _POOL_MIN_WORK
+    cpus = _usable_cpus() if pooled else 1
+    shares = max(1, min(len(blocks), cpus))
+    if shares == 1:
+        infos = _solve_all(blocks)
+    else:
+        pool = _executor(cpus - 1)
+        pending = [pool.submit(_solve_all, blocks[k::shares]) for k in range(1, shares)]
+        infos = [0] * len(blocks)
+        infos[0::shares] = _solve_all(blocks[0::shares])
+        for k, share in enumerate(pending, 1):
+            infos[k::shares] = share.result()
+    if not any(infos):
+        return len(infos), 0
+    failed = next(k for k, info in enumerate(infos) if info)
+    return failed, infos[failed]
 
-    The calling thread copies every block, then solves every k-th, for k
-    usable CPUs, and a pool of k - 1 threads solves the others; on one CPU
-    nothing is handed to a thread. ``ValueError`` on bands that do not
-    fit, before any block is solved. ``ConvergenceError`` names the first
-    block, in order, that LAPACK fails on; its ``partial_value`` is the
-    list of the spectra before it.
+
+def tridiagonal_spectra(bands) -> list[np.ndarray]:
+    """Descending spectra of every ``(diag, offdiag)`` in ``bands`` (any
+    iterable, read once), in order, each a view of the block's working
+    copy, solved by :func:`_solve_blocks`. ``ValueError`` on bands that do
+    not fit, before any block is solved. ``ConvergenceError`` names the
+    first block, in order, that LAPACK fails on; its ``partial_value`` is
+    the list of the spectra before it.
     """
     blocks = [_bands(diag, offdiag) for diag, offdiag in bands]
-    _dsterf()  # looked up here, before a pool thread needs it
-    cpus = _usable_cpus()
-    shares = max(1, min(len(blocks), cpus))
-    pool = _executor(cpus - 1) if shares > 1 else None
-    pending = [pool.submit(_solve_all, blocks[k::shares]) for k in range(1, shares)]
-    infos = [0] * len(blocks)
-    infos[0::shares] = _solve_all(blocks[0::shares])
-    for k, share in enumerate(pending, 1):
-        infos[k::shares] = share.result()
-    spectra = []
-    for (diag, _), info in zip(blocks, infos):
-        if info != 0:
-            raise _failure(diag.size, info, partial_value=spectra)
-        spectra.append(diag[::-1])
+    solved, info = _solve_blocks([(diag.size, diag.ctypes.data, offdiag.ctypes.data)
+                                  for diag, offdiag in blocks])
+    spectra = [diag[::-1] for diag, _ in blocks[:solved]]
+    if info != 0:
+        raise _failure(blocks[solved][0].size, info, partial_value=spectra)
     return spectra

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConvergenceError, NotAStateError, TruncationError
 from .fock import (Bipartition, DensityMatrix, FieldKind, LabeledBasis,
                    SqueezingParam, StateVector, Subsystem, _r_value)
-from .linalg import tridiagonal_eigenvalues, tridiagonal_spectra
+from .linalg import _failure, _solve_blocks
 from .measures import (NEGATIVITY_ZERO_TOL, PSD_TOL, entropy_from_eigenvalues,
                        mutual_informations, negativity_from_pt_eigenvalues)
 from .report import CorrelationReport
@@ -442,7 +442,8 @@ def rrbar_block_diagonals(r, D: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if D < 1:
         raise ValueError(f"block dimension must be >= 1, got {D}")
-    return _closed_bands(_r_value(r, FieldKind.SCALAR), range(D, D + 1))[0]
+    a = _closed_bands(_r_value(r, FieldKind.SCALAR), range(D, D + 1))[0]
+    return _split_bands(a, np.zeros(1, dtype=int), np.array([D]))[0]
 
 
 def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -509,35 +510,34 @@ def scalar_diagonals(psi: StateVector, size: int) -> tuple[np.ndarray, np.ndarra
 
 def _positions(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(starts, D, ell) of blocks of ``sizes`` laid end to end: where each
-    block starts, and the size of the block of each position and its index
-    in that block."""
-    starts = np.cumsum(sizes) - sizes
-    return starts, np.repeat(sizes, sizes), np.arange(sizes.sum()) - np.repeat(starts, sizes)
+    starts, and the block size and index in it of each position."""
+    starts = sizes.cumsum() - sizes
+    return starts, sizes.repeat(sizes), np.arange(sizes.sum()) - starts.repeat(sizes)
 
 
 def _split_bands(a: np.ndarray, starts: np.ndarray,
                  sizes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(diagonal, off-diagonal) of each block from its couplings ``a``, laid
-    out as :func:`_positions`: the last coupling of a block sits on the
-    diagonal, which is zero elsewhere."""
+    """(diagonal, off-diagonal) of each block of couplings ``a``, laid out as
+    :func:`_positions`: a block's last coupling is its only diagonal one."""
     last = starts + sizes - 1
     diag = np.zeros(a.size)
     diag[last] = a[last]
     return [(diag[s:e], a[s:e - 1]) for s, e in zip(starts.tolist(), (last + 1).tolist())]
 
 
-def _closed_bands(rv: float, sizes: range) -> list[tuple[np.ndarray, np.ndarray]]:
-    """:func:`rrbar_block_diagonals` of every block D in ``sizes``, from one
-    numpy pass, the one place its couplings are formed."""
+def _closed_bands(rv: float, sizes: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(couplings, D, ell) of every block D in ``sizes`` laid end to end
+    (:func:`_positions`; their bands are :func:`rrbar_block_diagonals`),
+    from one numpy pass, the one place the couplings are formed."""
     t, ch2, ch4 = math.tanh(rv), _cosh(rv, 2), _cosh(rv, 4)
     size = np.array(sizes)
-    starts, block, ell = _positions(size)
+    _, block, ell = _positions(size)
     a = np.repeat([t ** (D - 1) / (2 * ch2) for D in sizes], size)
     odd = ell % 2 == 1  # position 2l - 1, l = 1..D // 2
     l = (ell[odd] + 1) // 2
     power = np.repeat([t ** (D - 2) if D >= 2 else 0.0 for D in sizes], size)
     a[odd] = np.sqrt((block[odd] - l) * l) * power[odd] / (2 * ch4)
-    return _split_bands(a, starts, size)
+    return a, block, ell
 
 
 def _diagonal_couplings(v0: np.ndarray, v1: np.ndarray, run: range) -> tuple:
@@ -560,12 +560,11 @@ def rrbar_bands(psi: StateVector, n_blocks: int) -> list[tuple[np.ndarray, np.nd
     Entry (i, j) of block D is sum_a psi[a, n_i, m_j] psi[a, n_j, m_i].
     With n_i + m_i = n_j + m_j = D - 1 both labels lie on one offset n - m,
     and on offsets 0 and 1, where the scalar state lives, every such pair
-    falls on the band. So the blocks are tridiagonal and read off the
-    state's two diagonals (:func:`scalar_diagonals`), ``_PIECE`` entries at
-    a time: position 2i of block D holds v0[i] v0[D-1-i] and position 2j+1
-    holds v1[j] v1[D-2-j], the last position on the diagonal. Raises
-    ``NotAStateError`` on any amplitude off those diagonals, so the check
-    covers every block, not only those asked for.
+    falls on the band. So the blocks are read off the state's two diagonals
+    (:func:`scalar_diagonals`), ``_PIECE`` entries at a time: position 2i
+    of block D holds v0[i] v0[D-1-i] and position 2j+1 holds v1[j] v1[D-2-j],
+    the last position on the diagonal. ``NotAStateError`` on any amplitude
+    off those diagonals, whichever blocks are asked for.
     """
     v0, v1 = scalar_diagonals(psi, n_blocks)
     return [band for run in _runs(1, n_blocks, _PIECE)
@@ -591,6 +590,50 @@ def _runs(first: int, last: int, entries: int):
         first = stop
 
 
+def _block_sum(rv: float, pieces, total: float = 0.0, blocks: list | None = None) -> float:
+    """``total`` plus the negativity of the blocks of ``pieces``, each the
+    couplings and sizes of consecutive blocks laid end to end
+    (:func:`_split_bands`), in block order and bitwise as one
+    :func:`negativity_from_pt_eigenvalues` per block. One
+    :func:`_solve_blocks` pass solves every block in place in a working
+    copy of its piece's flat bands: the couplings themselves unless
+    ``blocks`` records views (:func:`scalar_negativity_RRbar`). Pieces of a
+    few thousand entries keep every array small enough for the heap to
+    reuse. One ``np.add.reduceat`` per piece counts the eigenvalues below
+    -``NEGATIVITY_ZERO_TOL``, the first of each ascending spectrum, and
+    only blocks with some are summed, from a reversed view. A failed block
+    raises ``ConvergenceError`` naming r, with the sum before it.
+    """
+    work, solve = [], []
+    for a, sizes in pieces:
+        starts = sizes.cumsum() - sizes
+        last = starts + sizes - 1
+        diag = np.zeros(a.size)
+        diag[last] = a[last]
+        eigs, scratch = (diag, a) if blocks is None else (diag.copy(), a.copy())
+        spans = list(zip(starts.tolist(), sizes.tolist()))
+        d, e, width = eigs.ctypes.data, scratch.ctypes.data, eigs.itemsize
+        solve += [(D, d + width * s, e + width * s) for s, D in spans]
+        work.append((a, diag, eigs, scratch, starts, spans))  # alive while solved
+    solved, info = _solve_blocks(solve)
+    left = solved
+    for a, diag, eigs, _, starts, spans in work:
+        spans = spans[:left]
+        left -= len(spans)
+        negative = np.add.reduceat(eigs < -NEGATIVITY_ZERO_TOL, starts, dtype=np.intp)
+        for (s, _), count in zip(spans, negative.tolist()):
+            if count:
+                total += float(-np.add.reduce(eigs[s:s + count][::-1]))
+        if blocks is not None:
+            blocks.extend([(diag[s:s + D], a[s:s + D - 1], eigs[s:s + D][::-1])
+                           for s, D in spans])
+    if info != 0:
+        failure = _failure(solve[solved][0], info)
+        raise ConvergenceError(f"Rob-AntiRob block sum at r={rv}: {failure}",
+                               partial_value=total) from failure
+    return total
+
+
 def scalar_negativity_RRbar(r, cfg: TruncationConfig = TruncationConfig(),
                             blocks: list | None = None) -> float:
     """Rob-AntiRob negativity: direct sum of the tridiagonal PT blocks,
@@ -598,14 +641,14 @@ def scalar_negativity_RRbar(r, cfg: TruncationConfig = TruncationConfig(),
 
     The sum runs to block K, the last whose bound G_D reaches
     ``NEGATIVITY_ZERO_TOL`` (to a 1e-6 margin), found by bisection; later
-    blocks add 0.0 and are never built. One :func:`tridiagonal_spectra`
-    call solves each ``_BAND_BUDGET`` band entries. ``ConvergenceError``
-    carries the sum before a failed block, or of blocks 1..d_max if
-    K > d_max. ``TruncationError`` names r where tanh r rounds to 1, or
-    where K = 1 (from r ~ 14.2), for there the thresholded sum reads 0. If
-    ``blocks`` is a list, the (diagonal, off-diagonal, spectrum) of every
-    block summed is appended to it, block D at index D - 1, and only then
-    are the bands kept past their solve.
+    blocks add 0.0 and are never built. :func:`_block_sum` solves each
+    ``_BAND_BUDGET`` band entries in one pass, built ``_PIECE`` at a time.
+    ``ConvergenceError`` names r and carries the sum before a failed block,
+    or of blocks 1..d_max if K > d_max. ``TruncationError`` names r where
+    tanh r rounds to 1, or where K = 1 (from r ~ 14.2), for there the
+    thresholded sum reads 0. If ``blocks`` is a list, the (diagonal,
+    off-diagonal, spectrum) views of every block summed are appended to
+    it, block D at index D - 1; only then is a working copy kept.
     """
     rv = _r_value(r, FieldKind.SCALAR)
     if rv == 0.0:
@@ -621,20 +664,9 @@ def scalar_negativity_RRbar(r, cfg: TruncationConfig = TruncationConfig(),
                               f"{NEGATIVITY_ZERO_TOL:.0e} at r={rv}: the sum has no value")
     total = 0.0
     for run in _runs(1, min(last, cfg.d_max), _BAND_BUDGET):
-        bands = (band for piece in _runs(run.start, run.stop - 1, _PIECE)
-                 for band in _closed_bands(rv, piece))
-        bands = list(bands) if blocks is not None else bands
-        try:
-            spectra, failure = tridiagonal_spectra(bands), None
-        except ConvergenceError as err:  # the spectra before the failed block
-            spectra, failure = err.partial_value, err
-        if blocks is not None:
-            blocks.extend((diag, off, eigs) for (diag, off), eigs in zip(bands, spectra))
-        for eigs in spectra:
-            total += negativity_from_pt_eigenvalues(eigs)
-        if failure is not None:
-            raise ConvergenceError(f"Rob-AntiRob block sum at r={rv}: {failure}",
-                                   partial_value=total) from failure
+        pieces = [(_closed_bands(rv, piece)[0], np.array(piece))
+                  for piece in _runs(run.start, run.stop - 1, _PIECE)]
+        total = _block_sum(rv, pieces, total, blocks)
     if last > cfg.d_max:
         raise ConvergenceError(
             f"Rob-AntiRob block sum did not converge within d_max={cfg.d_max} blocks",
@@ -648,21 +680,22 @@ def rrbar_mirsky_bound(psi: StateVector, blocks) -> float:
     ``blocks`` are the closed blocks a sum used, as recorded by
     :func:`scalar_negativity_RRbar` or :func:`hardcore_negativity_RRbar`;
     each is compared with the band of the same block read off the two
-    diagonals of ``psi`` (:func:`rrbar_bands`), so no constructive block is
+    diagonals of ``psi`` (:func:`rrbar_bands`), with no constructive block
     built or eigensolved. For blocks B and B' with eigenvalues sorted alike,
     Mirsky's inequality gives
     sum |l_i(B) - l_i(B')| <= ||B - B'||_1 <= sum |d diag| + 2 sum |d off|
     (each off-diagonal pair is a rank-2 piece of trace norm 2 |d off|).
-    Negativity drops eigenvalues in [-tol, 0), tol = NEGATIVITY_ZERO_TOL,
-    so a pair can differ by tol more only if it straddles -tol, which puts
-    the closed eigenvalue within the band distance of -tol; each such
-    eigenvalue adds tol. The blocks are read in the closed sum's runs of at
-    most ``_PIECE`` band entries; only the per-block distances span them
-    all. Blocks after the last one recorded are not compared. Raises
-    ``NotAStateError`` if any amplitude of ``psi`` lies off the diagonals
-    that make every block tridiagonal.
+    Negativity drops eigenvalues in [-tol, 0), tol = NEGATIVITY_ZERO_TOL, so
+    a closed eigenvalue within the band distance of -tol adds tol. Blocks
+    are read in runs of at most ``_PIECE`` band entries, and none after the
+    last one recorded. ``NotAStateError`` on any amplitude of ``psi`` off
+    the diagonals that make every block tridiagonal, blocks or none.
     """
-    v0, v1 = scalar_diagonals(psi, len(blocks))  # checks the support, blocks or none
+    return _mirsky_bound(*scalar_diagonals(psi, len(blocks)), blocks)
+
+
+def _mirsky_bound(v0: np.ndarray, v1: np.ndarray, blocks) -> float:
+    """:func:`rrbar_mirsky_bound` from diagonals of at least len(blocks)."""
     dist, straddling = np.empty(len(blocks)), 0
     for run in _runs(1, len(blocks), _PIECE):
         a, starts, size = _diagonal_couplings(v0, v1, run)
@@ -720,31 +753,23 @@ def hardcore_negativity_RRbar(r, hc: HardcoreConfig, blocks: list | None = None)
     """Rob-AntiRob negativity of the capped mode: the sum over the scalar
     partial-transpose blocks D = 1..2 cap + 2 (:func:`rrbar_block_diagonals`),
     built in one pass, with every coupling past the cap set to zero; later
-    blocks lie wholly past it.
-
-    Position 2i of block D pairs (i, i) with (D-1-i, D-1-i), position 2j+1
-    pairs (j+1, j) with (D-1-j, D-2-j); in these blocks only the second
-    squeezed-sum index can pass the cap, so the positions below
-    2(D-1-cap)-1 are dropped. ``renormalized`` divides by the kept mass,
-    the sum of the block traces. Each block is solved on the calling
-    thread by :func:`tridiagonal_eigenvalues`, the ``dsterf`` of the scalar
-    sum, so no pool is started.
-    ``blocks`` as in :func:`scalar_negativity_RRbar`;
+    blocks lie wholly past it. Position 2i of block D pairs (i, i) with
+    (D-1-i, D-1-i), position 2j+1 pairs (j+1, j) with (D-1-j, D-2-j), so
+    only the second squeezed-sum index can pass the cap, at the positions
+    below 2(D-1-cap)-1. ``renormalized`` divides by the kept mass, the sum
+    of the block traces. The scalar sum's :func:`_block_sum` adds the
+    blocks up, on the calling thread up to cap 21; ``blocks`` and its
+    ``ConvergenceError`` as in :func:`scalar_negativity_RRbar`.
     ``TruncationError`` past the one-particle mass rule.
     """
     rv = _r_value(r, FieldKind.HARDCORE)
     _require_one_particle_mass(rv, hc.cap)
-    bands = _closed_bands(rv, range(1, 2 * hc.cap + 3))
-    mass = sum(float(diag[-1]) for diag, _ in bands) if hc.mode == "renormalized" else 1.0
-    total = 0.0
-    for D, (diag, off) in enumerate(bands, start=1):
-        off[:max(0, 2 * (D - 1 - hc.cap) - 1)] = 0.0
-        diag, off = diag / mass, off / mass
-        eigs = tridiagonal_eigenvalues(diag, off)
-        if blocks is not None:
-            blocks.append((diag, off, eigs))
-        total += negativity_from_pt_eigenvalues(eigs)
-    return total
+    sizes = range(1, 2 * hc.cap + 3)
+    a, block, ell = _closed_bands(rv, sizes)
+    a[ell < 2 * (block - 1 - hc.cap) - 1] = 0.0
+    if hc.mode == "renormalized":
+        a /= sum(a[ell == block - 1].tolist())  # the block traces, in order
+    return _block_sum(rv, [(a, np.array(sizes))], blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -797,26 +822,24 @@ def scalar_report(r, cfg: TruncationConfig = TruncationConfig(),
     """Correlation report for the scalar field at one acceleration.
 
     The reported values come from the series/block closed forms; with
-    ``oracle`` enabled they are cross-checked against the truncated
-    constructive state: five measures are read off its two diagonals
-    (:func:`scalar_constructive_measures`), and for N_RRbar the
-    discrepancy is the bound of :func:`rrbar_mirsky_bound`, which compares
-    the blocks the closed sum used with the bands read off the diagonals
-    of a deeper state; the oracle eigensolves nothing. Block entries decay
-    like tanh^(n+m) rather than tanh^(2n), so they are read from a state
-    truncated at twice the adaptive cutoff, which keeps their
-    amplitude-level tail below tail_tol too.
-
-    The allowed discrepancy is 1e-9 at the default truncation and scales
-    with a loosened tail_tol, since the dropped tail shifts the constructive
-    entropies by about tail_tol times a log factor. The oracle builds that
-    deep state, its largest array, first, so one of more than
-    DENSE_ORDER_MAX^2 amplitudes raises ``TruncationError`` in the state
-    builder before the oracle allocates anything.
+    ``oracle`` enabled five are checked against the measures read off the
+    truncated state's two diagonals (:func:`scalar_constructive_measures`)
+    and N_RRbar by the bound of :func:`rrbar_mirsky_bound` against the bands
+    of a deeper state: block entries decay like tanh^(n+m), not tanh^(2n),
+    so twice the adaptive cutoff keeps their amplitude-level tail below
+    tail_tol too. The oracle eigensolves nothing. The allowed discrepancy is
+    1e-9 at the default truncation and scales with a loosened tail_tol,
+    since the dropped tail shifts the constructive entropies by about
+    tail_tol times a log factor. The deep state, the largest array, is
+    built before any closed value, so one of more than DENSE_ORDER_MAX^2
+    amplitudes (from r ~ 2.61 at the default truncation) raises
+    ``TruncationError`` before anything is allocated or summed.
     """
     rv = _r_value(r, FieldKind.SCALAR)
     n_max = resolve_n_max(rv, cfg)
     dv, do = truncation_deficits(rv, n_max)
+    # first: a deep state past the amplitude budget fails the row at once
+    deep = scalar_tripartite_state(rv, replace(cfg, n_max=2 * n_max + 2)) if oracle else None
     blocks = [] if oracle else None
     ent = scalar_entropies(rv, cfg)
     closed = mutual_informations(ent.S_A, ent.S_R, ent.S_Rbar)
@@ -824,9 +847,7 @@ def scalar_report(r, cfg: TruncationConfig = TruncationConfig(),
                   N_RRbar=scalar_negativity_RRbar(rv, cfg, blocks))
     constructive, bound = None, 0.0
     if oracle:
-        # the deep state first: it is the largest, and refused unallocated
-        deep = replace(cfg, n_max=2 * n_max + 2)
-        bound = rrbar_mirsky_bound(scalar_tripartite_state(rv, deep), blocks)
+        bound = rrbar_mirsky_bound(deep, blocks)
         constructive = scalar_constructive_measures(rv, cfg)
     tol = max(ORACLE_TOL, 100.0 * cfg.tail_tol)
     return CorrelationReport.from_routes(rv, closed, constructive, (dv + do) / 2.0,
@@ -838,14 +859,13 @@ def hardcore_report(r, hc: HardcoreConfig, oracle: bool = True) -> CorrelationRe
 
     The closed route takes five measures from the capped closed weights
     (:func:`hardcore_closed_measures`) and N_RRbar from
-    :func:`hardcore_negativity_RRbar`, whose at most 2 cap + 2 tridiagonal
-    blocks are the report's only eigensolves; the oracle reads the five off
-    the two diagonals of the capped tripartite state
-    (:func:`scalar_constructive_measures`) and bounds N_RRbar by
-    :func:`rrbar_mirsky_bound` against the bands read off the same
-    diagonals, as :func:`scalar_report` does. No dense matrix is built or
-    reduced. Every builder applies the one-particle mass rule, so both
-    routes raise ``TruncationError`` from the same r.
+    :func:`hardcore_negativity_RRbar`, whose 2 cap + 2 tridiagonal blocks
+    are the only eigensolves. The oracle reads the capped state's two
+    diagonals once, for the five measures (as
+    :func:`scalar_constructive_measures`) and for the bound of
+    :func:`rrbar_mirsky_bound` on N_RRbar. Every builder applies the
+    one-particle mass rule, so both routes raise ``TruncationError`` from
+    the same r.
     """
     rv = _r_value(r, FieldKind.HARDCORE)
     dv, do = truncation_deficits(rv, hc.cap)
@@ -856,7 +876,9 @@ def hardcore_report(r, hc: HardcoreConfig, oracle: bool = True) -> CorrelationRe
     constructive, bound = None, 0.0
     if oracle:
         psi = hardcore_tripartite_state(rv, hc)
-        bound = rrbar_mirsky_bound(psi, blocks)
-        constructive = scalar_constructive_measures(rv, TruncationConfig(n_max=hc.cap), psi)
+        # the 2 cap + 2 blocks' entries hold one zero past both axes too
+        v = np.array(scalar_diagonals(psi, len(blocks)))
+        bound = _mirsky_bound(*v, blocks)
+        constructive = _weight_measures(*v[:, :hc.cap + 3] ** 2)
     return CorrelationReport.from_routes(rv, closed, constructive, deficit, ORACLE_TOL,
                                          bound)

@@ -167,7 +167,8 @@ def test_import_does_not_load_scipy():
     # the tridiagonal path takes dsterf from numpy's own LAPACK, looked up
     # on first use: no report loads scipy. Dirac and hardcore reports, oracle
     # included, start no thread pool either: the hardcore Rob-AntiRob blocks,
-    # 34 of them at cap 16, are solved on the calling thread
+    # 34 of them at cap 16, square to 13,685 < _POOL_MIN_WORK in all and are
+    # solved on the calling thread
     code = ("import sys, threading, unruh; "
             "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
             "unruh.dirac_report(0.3); "

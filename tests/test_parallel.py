@@ -1,7 +1,7 @@
 """The Rob-AntiRob block spectra on several threads: the same values, the
 same recorded blocks and the same CSV bytes for any number of usable CPUs,
-no block past the stop solved on any thread, and a working pool in a
-forked child."""
+no block past the stop solved on any thread, failures typed alike for the
+scalar and the hardcore sum, and a working pool in a forked child."""
 
 import multiprocessing
 import os
@@ -12,7 +12,8 @@ import pytest
 from unruh import linalg
 from unruh.errors import ConvergenceError
 from unruh.measures import negativity_from_pt_eigenvalues
-from unruh.scalar import TruncationConfig, scalar_negativity_RRbar
+from unruh.scalar import (HardcoreConfig, TruncationConfig, hardcore_negativity_RRbar,
+                          hardcore_report, scalar_negativity_RRbar)
 from unruh.sweep import figure_preset, run_sweep
 
 CFG = TruncationConfig()
@@ -56,9 +57,9 @@ def _failing_at(monkeypatch, size):
     the orders of the blocks solved, a list appended to from any thread."""
     solved = []
 
-    def failing(diag, offdiag):
-        solved.append(diag.size)
-        return 1 if diag.size == size else _SOLVE(diag, offdiag)
+    def failing(n, diag, offdiag):
+        solved.append(n)
+        return 1 if n == size else _SOLVE(n, diag, offdiag)
     monkeypatch.setattr(linalg, "_solve", failing)
     return solved
 
@@ -87,6 +88,27 @@ def test_failure_in_a_summed_block_raises(monkeypatch, cpus):
         # the sum over the blocks before the failed one
         assert err.value.partial_value == sum(
             negativity_from_pt_eigenvalues(eigs) for _, _, eigs in blocks[:failed - 1])
+
+
+@pytest.mark.parametrize("cpus", CPU_COUNTS)
+@pytest.mark.parametrize("cap", [2, 62])  # cap 62 sums enough blocks for the pool
+@pytest.mark.parametrize("mode", HardcoreConfig.MODES)
+def test_failure_in_a_hardcore_block_raises_as_in_the_scalar_sum(monkeypatch, cpus,
+                                                                 cap, mode):
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+    hc = HardcoreConfig(cap=cap, mode=mode)
+    blocks = []
+    hardcore_negativity_RRbar(1.2, hc, blocks)
+    for failed in (len(blocks), len(blocks) // 2):
+        _failing_at(monkeypatch, failed)
+        with pytest.raises(ConvergenceError,
+                           match=r"block sum at r=1\.2: LAPACK dsterf failed") as err:
+            hardcore_negativity_RRbar(1.2, hc)
+        # the sum over the blocks before the failed one
+        assert err.value.partial_value == sum(
+            negativity_from_pt_eigenvalues(eigs) for _, _, eigs in blocks[:failed - 1])
+        with pytest.raises(ConvergenceError, match="dsterf failed"):
+            hardcore_report(1.2, hc)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")

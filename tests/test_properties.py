@@ -1,7 +1,8 @@
 """Property tests with hypothesis over the hardcore-boson domain, its
 Rob-AntiRob blocks and closed measures, the scalar Rob-AntiRob bands and
-the oracle's read of the state's two diagonals against the dense
-reductions; the profile is set in conftest.py."""
+block sums, the oracle's read of the state's two diagonals against the
+dense reductions, the Dirac conservation laws and the trace of partial
+transposes; the profile is set in conftest.py."""
 
 import math
 
@@ -11,16 +12,20 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from unruh.dirac import dirac_closed_rho, dirac_report  # noqa: E402
 from unruh.errors import NotAStateError, TruncationError  # noqa: E402
 from unruh.fock import (Bipartition, StateVector, Subsystem,  # noqa: E402
-                        reduced_density_matrix)
-from unruh.measures import bipartite_measures, negativity  # noqa: E402
+                        partial_transpose, reduced_density_matrix)
+from unruh.linalg import tridiagonal_eigenvalues  # noqa: E402
+from unruh.measures import (bipartite_measures, negativity,  # noqa: E402
+                            negativity_from_pt_eigenvalues)
 from unruh.scalar import (HardcoreConfig, TruncationConfig,  # noqa: E402
-                          hardcore_closed_measures, hardcore_report,
-                          hardcore_rho, hardcore_tripartite_state, rrbar_bands,
-                          rrbar_block_constructive, scalar_constructive_measures,
-                          scalar_negativity_RRbar, scalar_report,
-                          scalar_tripartite_state)
+                          hardcore_closed_measures, hardcore_negativity_RRbar,
+                          hardcore_report, hardcore_rho,
+                          hardcore_tripartite_state, rrbar_bands,
+                          rrbar_block_constructive, rrbar_block_diagonals,
+                          scalar_constructive_measures, scalar_negativity_RRbar,
+                          scalar_report, scalar_tripartite_state)
 
 R = st.floats(min_value=0.0, max_value=25.0)
 
@@ -145,3 +150,73 @@ def test_scalar_row_keeps_its_laws_and_n_rrbar_rises(r):
     assert abs(rep.I_AR + rep.I_ARbar - 2.0) <= 1e-8, (r, rep.I_AR, rep.I_ARbar)
     if r + 0.01 <= 1.65:
         assert scalar_negativity_RRbar(r + 0.01) > rep.N_RRbar, r
+
+
+def _per_block(r, n_blocks, cap=None, renormalized=False):
+    """Reference: the per-block loop the flat block sum replaced. Each of
+    blocks 1..n_blocks is built alone, cut past the occupation ``cap`` and
+    divided by the kept mass (for a hardcore field), solved by one
+    tridiagonal_eigenvalues call and summed in block order."""
+    bands = [rrbar_block_diagonals(r, d) for d in range(1, n_blocks + 1)]
+    mass = sum(float(diag[-1]) for diag, _ in bands) if renormalized else 1.0
+    total, blocks = 0.0, []
+    for d, (diag, off) in enumerate(bands, start=1):
+        if cap is not None:
+            off[:max(0, 2 * (d - 1 - cap) - 1)] = 0.0
+        diag, off = diag / mass, off / mass
+        eigs = tridiagonal_eigenvalues(diag, off)
+        blocks.append((diag, off, eigs))
+        total += negativity_from_pt_eigenvalues(eigs)
+    return total, blocks
+
+
+def _assert_bitwise(value, blocks, want, want_blocks):
+    assert value.hex() == want.hex(), (value, want)
+    assert len(blocks) == len(want_blocks)
+    for d, (got, ref) in enumerate(zip(blocks, want_blocks), start=1):
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in ref], d
+
+
+@given(cap=st.sampled_from((1, 2, 8, 16, 62)), mode=st.sampled_from(HardcoreConfig.MODES),
+       r=st.floats(min_value=0.0, max_value=6.0))
+def test_hardcore_block_sum_is_the_per_block_loop(cap, mode, r):
+    # cap 62 sums enough blocks to run on the thread pool
+    blocks = []
+    value = hardcore_negativity_RRbar(r, HardcoreConfig(cap=cap, mode=mode), blocks)
+    _assert_bitwise(value, blocks, *_per_block(r, 2 * cap + 2, cap, mode == "renormalized"))
+
+
+@settings(max_examples=25)
+@given(r=st.floats(min_value=0.0, max_value=1.65, exclude_min=True))
+def test_scalar_block_sum_is_the_per_block_loop(r):
+    blocks = []
+    value = scalar_negativity_RRbar(r, TruncationConfig(), blocks)
+    _assert_bitwise(value, blocks, *_per_block(r, len(blocks)))
+
+
+@given(r=st.floats(min_value=0.0, max_value=math.pi / 4))
+def test_dirac_row_keeps_its_conservation_laws(r):
+    rep = dirac_report(r)
+    assert abs(rep.I_AR + rep.I_ARbar - 2.0) <= 1e-10, (r, rep.I_AR, rep.I_ARbar)
+    assert abs(rep.N_AR + rep.N_ARbar - 0.5) <= 1e-10, (r, rep.N_AR, rep.N_ARbar)
+
+
+def _assert_partial_transposes_keep_the_trace(rho):
+    for party in rho.subsystems:
+        eta = partial_transpose(rho, party)
+        assert np.trace(eta.entries) == np.trace(rho.entries), party
+        assert eta.trace_deficit == rho.trace_deficit
+
+
+@given(r=st.floats(min_value=0.0, max_value=math.pi / 4),
+       bipartition=st.sampled_from(tuple(Bipartition)))
+def test_dirac_partial_transposes_keep_the_trace(r, bipartition):
+    _assert_partial_transposes_keep_the_trace(dirac_closed_rho(r, bipartition))
+
+
+@given(cap=st.sampled_from((1, 2, 8, 16)), mode=st.sampled_from(HardcoreConfig.MODES),
+       r=st.floats(min_value=0.0, max_value=10.0),
+       bipartition=st.sampled_from(tuple(Bipartition)))
+def test_hardcore_partial_transposes_keep_the_trace(cap, mode, r, bipartition):
+    _assert_partial_transposes_keep_the_trace(
+        hardcore_rho(r, HardcoreConfig(cap=cap, mode=mode), bipartition))

@@ -11,7 +11,7 @@ from unruh.errors import (ConvergenceError, NotAStateError, OracleMismatchError,
 from unruh.fock import (Bipartition, FieldKind, LabeledBasis, StateVector,
                         Subsystem, partial_trace, partial_transpose,
                         reduced_density_matrix)
-from unruh.linalg import sym_eigenvalues, tridiagonal_eigenvalues, tridiagonal_spectra
+from unruh.linalg import sym_eigenvalues, tridiagonal_eigenvalues
 from unruh.measures import (negativity, negativity_from_pt_eigenvalues,
                             von_neumann_entropy)
 from unruh.scalar import (HardcoreConfig, TruncationConfig, hardcore_report,
@@ -712,9 +712,9 @@ def test_oracle_eigensolves_only_the_closed_blocks(monkeypatch):
     solves, recorded = [], []
     solve, bound = linalg._solve, scalar.rrbar_mirsky_bound
 
-    def counted_solve(diag, offdiag):
-        solves.append(diag.size)
-        return solve(diag, offdiag)
+    def counted_solve(n, diag, offdiag):
+        solves.append(n)
+        return solve(n, diag, offdiag)
 
     def recording_bound(psi, blocks):
         recorded.append(len(blocks))
@@ -788,12 +788,13 @@ def test_rrbar_past_d_max_raises_with_the_sum_to_d_max():
 
 
 def test_rrbar_large_d_max_takes_bounded_passes(monkeypatch):
-    passes = []
+    passes = []  # the blocks of each LAPACK pass
 
-    def counted(bands):
-        passes.append(tridiagonal_spectra(bands))
-        return passes[-1]
-    monkeypatch.setattr(scalar, "tridiagonal_spectra", counted)
+    def counted(blocks):
+        passes.append(blocks)
+        return solve_blocks(blocks)
+    solve_blocks = scalar._solve_blocks
+    monkeypatch.setattr(scalar, "_solve_blocks", counted)
     value = scalar_negativity_RRbar(1.7, TruncationConfig(d_max=500))
     assert [len(p) for p in passes][0] == 400 and len(passes) == 2
     assert value == _blockwise(1.7, sum(len(p) for p in passes) + 5)[0]
@@ -1060,9 +1061,9 @@ def test_hardcore_report_eigensolves_only_its_rrbar_blocks(monkeypatch, cap, mod
     # goes through linalg._solve
     solve, orders = linalg._solve, []
 
-    def counted(diag, offdiag):
-        orders.append(diag.size)
-        return solve(diag, offdiag)
+    def counted(n, diag, offdiag):
+        orders.append(n)
+        return solve(n, diag, offdiag)
 
     def refused(*args, **kwargs):
         raise AssertionError("a hardcore report reduced or eigensolved a dense matrix")
@@ -1091,6 +1092,16 @@ def test_hardcore_oracle_catches_a_perturbed_coupling(monkeypatch):
     with pytest.raises(OracleMismatchError) as err:
         hardcore_report(0.9, HardcoreConfig(cap=2))
     assert err.value.discrepancy > 1e-9
+
+
+def test_report_past_the_amplitude_budget_fails_before_the_block_sum(monkeypatch):
+    # with d_max = 100000 the sum at r = 2.65 takes about a minute, and only
+    # the deep state's amplitude budget refuses the row
+    def refused(*args, **kwargs):
+        raise AssertionError("the block sum ran before the deep state was refused")
+    monkeypatch.setattr(scalar, "scalar_negativity_RRbar", refused)
+    with pytest.raises(TruncationError, match=r"r=2\.65 .* > 16777216"):
+        scalar_report(2.65, TruncationConfig(d_max=100000))
 
 
 def test_oracle_allocation_is_bounded(monkeypatch):

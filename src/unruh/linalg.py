@@ -2,8 +2,8 @@
 
 Dense matrices go to LAPACK through ``numpy.linalg.eigvalsh``
 (:func:`sym_eigenvalues`); symmetric tridiagonal ones to LAPACK ``dsterf``
-(:func:`tridiagonal_eigenvalues`, and :func:`tridiagonal_spectra` for many
-blocks at once). Both return the full spectrum sorted in descending order.
+(:func:`tridiagonal_eigenvalues`). Both return the full spectrum sorted in
+descending order.
 
 ``dsterf`` comes from the LAPACK that numpy has already loaded: the
 OpenBLAS bundled with numpy's Linux wheels exports it as
@@ -13,12 +13,12 @@ macOS Accelerate or MKL builds may not), the function pointer that
 ``scipy.linalg.cython_lapack`` exports is used instead, and only then is
 scipy imported; both run the same reference routine. With neither, a
 solve raises ``MissingLapackError``. ``dsterf`` is called by ``ctypes``,
-which releases the GIL, so :func:`_solve_blocks`, under
-:func:`tridiagonal_spectra` and the Rob-AntiRob block sums, spreads enough
-work over the calling thread and a pool of one thread less than the
-process has usable CPUs (its CPU affinity; restrict it with ``taskset``).
-Each block is solved alone, so the spectra are bitwise the same for any
-number of threads. The pool is made on first need and dropped in a
+which releases the GIL, so :func:`_solve_blocks`, under the Rob-AntiRob
+block sums, spreads many blocks, solved in place by address, over the
+calling thread and a pool of one thread less than the process has usable
+CPUs (its CPU affinity; restrict it with ``taskset``), once they are enough
+work. Each block is solved alone, so the spectra are bitwise the same for
+any number of threads. The pool is made on first need and dropped in a
 forked child.
 """
 
@@ -112,17 +112,6 @@ def _dsterf():
     return dsterf(pointer), int_t
 
 
-def _bands(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
-    """Contiguous float64 copies of a tridiagonal matrix's two bands, which
-    ``dsterf`` overwrites; ``ValueError`` if they do not fit together."""
-    diag, offdiag = np.array(diag, dtype=float), np.array(offdiag, dtype=float)
-    if diag.ndim != 1 or offdiag.shape != (diag.size - 1,):
-        raise ValueError(f"a {diag.size}x{diag.size} tridiagonal matrix needs a "
-                         f"diagonal of shape ({diag.size},) and an off-diagonal of "
-                         f"shape ({diag.size - 1},), got {diag.shape} and {offdiag.shape}")
-    return diag, offdiag
-
-
 def _solve(n: int, diag: int, offdiag: int) -> int:
     """Overwrite the n x n bands at addresses ``diag`` and ``offdiag``, kept
     alive by the caller, with the ascending spectrum and scratch; return
@@ -137,9 +126,9 @@ def _solve_all(blocks) -> list[int]:
     return [_solve(n, diag, offdiag) for n, diag, offdiag in blocks]
 
 
-def _failure(n: int, info: int, partial_value=None) -> ConvergenceError:
+def _failure(n: int, info: int) -> ConvergenceError:
     return ConvergenceError(f"LAPACK dsterf failed on a {n}x{n} tridiagonal matrix "
-                            f"(info={info})", partial_value=partial_value)
+                            f"(info={info})")
 
 
 def tridiagonal_eigenvalues(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
@@ -147,12 +136,23 @@ def tridiagonal_eigenvalues(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray
 
     Calls LAPACK ``dsterf`` (root-free QL/QR) directly, the routine that
     ``scipy.linalg.eigvalsh_tridiagonal`` reaches through ``dstevd``, so
-    the spectrum is the same without the wrapper's per-call overhead. A
-    nonzero ``info`` (no convergence, or non-finite input) raises
-    ``ConvergenceError``. :func:`tridiagonal_spectra` solves many blocks,
-    bitwise equal to one call per block.
+    the spectrum is the same without the wrapper's per-call overhead. The
+    bands are copied, not overwritten. ``ValueError`` on an empty or
+    misshapen diagonal or an off-diagonal that does not fit it; a nonzero
+    ``info`` (no convergence, or non-finite input) raises
+    ``ConvergenceError``.
     """
-    return tridiagonal_spectra([(diag, offdiag)])[0].copy()
+    diag, offdiag = np.array(diag, dtype=float), np.array(offdiag, dtype=float)
+    if diag.ndim != 1 or diag.size == 0:
+        raise ValueError(f"a tridiagonal matrix needs a non-empty diagonal of "
+                         f"shape (n,), got {diag.shape}")
+    if offdiag.shape != (diag.size - 1,):
+        raise ValueError(f"a {diag.size}x{diag.size} tridiagonal matrix needs an "
+                         f"off-diagonal of shape ({diag.size - 1},), got {offdiag.shape}")
+    info = _solve(diag.size, diag.ctypes.data, offdiag.ctypes.data)
+    if info != 0:
+        raise _failure(diag.size, info)
+    return diag[::-1].copy()
 
 
 # squared block orders in all below which the pool costs more than it saves:
@@ -218,19 +218,3 @@ def _solve_blocks(blocks) -> tuple[int, int]:
     failed = next(k for k, info in enumerate(infos) if info)
     return failed, infos[failed]
 
-
-def tridiagonal_spectra(bands) -> list[np.ndarray]:
-    """Descending spectra of every ``(diag, offdiag)`` in ``bands`` (any
-    iterable, read once), in order, each a view of the block's working
-    copy, solved by :func:`_solve_blocks`. ``ValueError`` on bands that do
-    not fit, before any block is solved. ``ConvergenceError`` names the
-    first block, in order, that LAPACK fails on; its ``partial_value`` is
-    the list of the spectra before it.
-    """
-    blocks = [_bands(diag, offdiag) for diag, offdiag in bands]
-    solved, info = _solve_blocks([(diag.size, diag.ctypes.data, offdiag.ctypes.data)
-                                  for diag, offdiag in blocks])
-    spectra = [diag[::-1] for diag, _ in blocks[:solved]]
-    if info != 0:
-        raise _failure(blocks[solved][0].size, info, partial_value=spectra)
-    return spectra

@@ -443,7 +443,9 @@ def rrbar_block_diagonals(r, D: int) -> tuple[np.ndarray, np.ndarray]:
     if D < 1:
         raise ValueError(f"block dimension must be >= 1, got {D}")
     a = _closed_bands(_r_value(r, FieldKind.SCALAR), range(D, D + 1))[0]
-    return _split_bands(a, np.zeros(1, dtype=int), np.array([D]))[0]
+    diag = np.zeros(D)
+    diag[-1] = a[-1]  # a block's last coupling is its only diagonal one
+    return diag, a[:-1]
 
 
 def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -515,16 +517,6 @@ def _positions(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return starts, sizes.repeat(sizes), np.arange(sizes.sum()) - starts.repeat(sizes)
 
 
-def _split_bands(a: np.ndarray, starts: np.ndarray,
-                 sizes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(diagonal, off-diagonal) of each block of couplings ``a``, laid out as
-    :func:`_positions`: a block's last coupling is its only diagonal one."""
-    last = starts + sizes - 1
-    diag = np.zeros(a.size)
-    diag[last] = a[last]
-    return [(diag[s:e], a[s:e - 1]) for s, e in zip(starts.tolist(), (last + 1).tolist())]
-
-
 def _closed_bands(rv: float, sizes: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(couplings, D, ell) of every block D in ``sizes`` laid end to end
     (:func:`_positions`; their bands are :func:`rrbar_block_diagonals`),
@@ -541,8 +533,18 @@ def _closed_bands(rv: float, sizes: range) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _diagonal_couplings(v0: np.ndarray, v1: np.ndarray, run: range) -> tuple:
-    """(couplings, starts, sizes) of blocks D in ``run`` laid end to end
-    (:func:`_positions`), read off the diagonals as :func:`rrbar_bands` says."""
+    """(couplings, starts, sizes) of the Rob-AntiRob partial-transpose
+    blocks D in ``run`` of a state with diagonals ``v0``, ``v1``
+    (:func:`scalar_diagonals`), laid end to end (:func:`_positions`) and
+    equal bitwise to the band of :func:`rrbar_block_constructive`.
+
+    Entry (i, j) of block D is sum_a psi[a, n_i, m_j] psi[a, n_j, m_i].
+    With n_i + m_i = n_j + m_j = D - 1 both labels lie on one offset n - m,
+    and on offsets 0 and 1, where the scalar state lives, every such pair
+    falls on the band. So position 2i of block D holds v0[i] v0[D-1-i] and
+    position 2j+1 holds v1[j] v1[D-2-j]; a block's last position is its
+    diagonal entry, every other one an off-diagonal entry.
+    """
     size = np.array(run)
     starts, block, ell = _positions(size)
     i = ell // 2
@@ -550,25 +552,6 @@ def _diagonal_couplings(v0: np.ndarray, v1: np.ndarray, run: range) -> tuple:
                  v1[i] * v1[np.maximum(block - 2 - i, 0)])
     a += 0.0  # the dense block sums from zero, so a -0.0 product reads +0.0
     return a, starts, size
-
-
-def rrbar_bands(psi: StateVector, n_blocks: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(diagonal, off-diagonal) of the Rob-AntiRob partial-transpose blocks
-    D = 1..n_blocks of ``psi``, block D at index D - 1, equal bitwise to
-    the band of :func:`rrbar_block_constructive`.
-
-    Entry (i, j) of block D is sum_a psi[a, n_i, m_j] psi[a, n_j, m_i].
-    With n_i + m_i = n_j + m_j = D - 1 both labels lie on one offset n - m,
-    and on offsets 0 and 1, where the scalar state lives, every such pair
-    falls on the band. So the blocks are read off the state's two diagonals
-    (:func:`scalar_diagonals`), ``_PIECE`` entries at a time: position 2i
-    of block D holds v0[i] v0[D-1-i] and position 2j+1 holds v1[j] v1[D-2-j],
-    the last position on the diagonal. ``NotAStateError`` on any amplitude
-    off those diagonals, whichever blocks are asked for.
-    """
-    v0, v1 = scalar_diagonals(psi, n_blocks)
-    return [band for run in _runs(1, n_blocks, _PIECE)
-            for band in _split_bands(*_diagonal_couplings(v0, v1, run))]
 
 
 def _rrbar_row_bound(t: float, ch2: float, D: int) -> float:
@@ -591,46 +574,49 @@ def _runs(first: int, last: int, entries: int):
 
 
 def _block_sum(rv: float, pieces, total: float = 0.0, blocks: list | None = None) -> float:
-    """``total`` plus the negativity of the blocks of ``pieces``, each the
-    couplings and sizes of consecutive blocks laid end to end
-    (:func:`_split_bands`), in block order and bitwise as one
+    """``total`` plus the negativity of the blocks of ``pieces``, each a
+    ``(run, couplings)`` of the consecutive blocks D in ``run`` laid end to
+    end (:func:`_positions`), in block order and bitwise as one
     :func:`negativity_from_pt_eigenvalues` per block. One
-    :func:`_solve_blocks` pass solves every block in place in a working
-    copy of its piece's flat bands: the couplings themselves unless
-    ``blocks`` records views (:func:`scalar_negativity_RRbar`). Pieces of a
-    few thousand entries keep every array small enough for the heap to
-    reuse. One ``np.add.reduceat`` per piece counts the eigenvalues below
-    -``NEGATIVITY_ZERO_TOL``, the first of each ascending spectrum, and
-    only blocks with some are summed, from a reversed view. A failed block
-    raises ``ConvergenceError`` naming r, with the sum before it.
+    :func:`_solve_blocks` pass solves every block in place, by address, in
+    its piece's flat bands: a new diagonal, which becomes the spectra, and
+    the couplings as scratch, copied only if ``blocks`` records them.
+    Pieces of a few thousand entries keep every array small enough for the
+    heap to reuse. One ``np.add.reduceat`` per piece counts the eigenvalues
+    below -``NEGATIVITY_ZERO_TOL``, the first of each ascending spectrum,
+    and only blocks with some are summed, from a reversed view. A failed
+    block raises ``ConvergenceError`` naming r, with the sum before it.
+    Otherwise, if ``blocks`` is a list, every piece is appended to it as
+    ``(run, couplings, spectra)``: block D's ascending spectrum fills its
+    positions of ``spectra``.
     """
     work, solve = [], []
-    for a, sizes in pieces:
+    for run, a in pieces:
+        sizes = np.array(run)
         starts = sizes.cumsum() - sizes
         last = starts + sizes - 1
-        diag = np.zeros(a.size)
-        diag[last] = a[last]
-        eigs, scratch = (diag, a) if blocks is None else (diag.copy(), a.copy())
+        eigs = np.zeros(a.size)
+        eigs[last] = a[last]
+        scratch = a if blocks is None else a.copy()
         spans = list(zip(starts.tolist(), sizes.tolist()))
         d, e, width = eigs.ctypes.data, scratch.ctypes.data, eigs.itemsize
         solve += [(D, d + width * s, e + width * s) for s, D in spans]
-        work.append((a, diag, eigs, scratch, starts, spans))  # alive while solved
+        work.append((run, a, eigs, scratch, starts, spans))  # alive while solved
     solved, info = _solve_blocks(solve)
     left = solved
-    for a, diag, eigs, _, starts, spans in work:
+    for run, a, eigs, _, starts, spans in work:
         spans = spans[:left]
         left -= len(spans)
         negative = np.add.reduceat(eigs < -NEGATIVITY_ZERO_TOL, starts, dtype=np.intp)
         for (s, _), count in zip(spans, negative.tolist()):
             if count:
                 total += float(-np.add.reduce(eigs[s:s + count][::-1]))
-        if blocks is not None:
-            blocks.extend([(diag[s:s + D], a[s:s + D - 1], eigs[s:s + D][::-1])
-                           for s, D in spans])
     if info != 0:
         failure = _failure(solve[solved][0], info)
         raise ConvergenceError(f"Rob-AntiRob block sum at r={rv}: {failure}",
                                partial_value=total) from failure
+    if blocks is not None:
+        blocks.extend((run, a, eigs) for run, a, eigs, *_ in work)
     return total
 
 
@@ -646,9 +632,9 @@ def scalar_negativity_RRbar(r, cfg: TruncationConfig = TruncationConfig(),
     ``ConvergenceError`` names r and carries the sum before a failed block,
     or of blocks 1..d_max if K > d_max. ``TruncationError`` names r where
     tanh r rounds to 1, or where K = 1 (from r ~ 14.2), for there the
-    thresholded sum reads 0. If ``blocks`` is a list, the (diagonal,
-    off-diagonal, spectrum) views of every block summed are appended to
-    it, block D at index D - 1; only then is a working copy kept.
+    thresholded sum reads 0. If ``blocks`` is a list, every piece summed
+    is appended to it as ``(run, couplings, spectra)``, blocks 1..K in
+    order (:func:`_block_sum`); only then are the couplings copied.
     """
     rv = _r_value(r, FieldKind.SCALAR)
     if rv == 0.0:
@@ -664,7 +650,7 @@ def scalar_negativity_RRbar(r, cfg: TruncationConfig = TruncationConfig(),
                               f"{NEGATIVITY_ZERO_TOL:.0e} at r={rv}: the sum has no value")
     total = 0.0
     for run in _runs(1, min(last, cfg.d_max), _BAND_BUDGET):
-        pieces = [(_closed_bands(rv, piece)[0], np.array(piece))
+        pieces = [(piece, _closed_bands(rv, piece)[0])
                   for piece in _runs(run.start, run.stop - 1, _PIECE)]
         total = _block_sum(rv, pieces, total, blocks)
     if last > cfg.d_max:
@@ -677,35 +663,38 @@ def scalar_negativity_RRbar(r, cfg: TruncationConfig = TruncationConfig(),
 def rrbar_mirsky_bound(psi: StateVector, blocks) -> float:
     """Upper bound on |closed block sum - the same sum over the blocks of psi|.
 
-    ``blocks`` are the closed blocks a sum used, as recorded by
-    :func:`scalar_negativity_RRbar` or :func:`hardcore_negativity_RRbar`;
-    each is compared with the band of the same block read off the two
-    diagonals of ``psi`` (:func:`rrbar_bands`), with no constructive block
-    built or eigensolved. For blocks B and B' with eigenvalues sorted alike,
+    ``blocks`` is the record of the closed blocks a sum used, pieces of
+    ``(run, couplings, spectra)`` from block 1 on, as
+    :func:`scalar_negativity_RRbar` or :func:`hardcore_negativity_RRbar`
+    append them; each piece is compared with the couplings of the same
+    blocks read off the two diagonals of ``psi``
+    (:func:`_diagonal_couplings`), with no constructive block built or
+    eigensolved. For blocks B and B' with eigenvalues sorted alike,
     Mirsky's inequality gives
     sum |l_i(B) - l_i(B')| <= ||B - B'||_1 <= sum |d diag| + 2 sum |d off|
     (each off-diagonal pair is a rank-2 piece of trace norm 2 |d off|).
     Negativity drops eigenvalues in [-tol, 0), tol = NEGATIVITY_ZERO_TOL, so
-    a closed eigenvalue within the band distance of -tol adds tol. Blocks
-    are read in runs of at most ``_PIECE`` band entries, and none after the
-    last one recorded. ``NotAStateError`` on any amplitude of ``psi`` off
-    the diagonals that make every block tridiagonal, blocks or none.
+    a closed eigenvalue within the band distance of -tol adds tol. The
+    pieces are read as recorded, and no block after the last one.
+    ``NotAStateError`` on any amplitude of ``psi`` off the diagonals that
+    make every block tridiagonal, blocks or none.
     """
-    return _mirsky_bound(*scalar_diagonals(psi, len(blocks)), blocks)
+    return _mirsky_bound(*scalar_diagonals(psi, _last_block(blocks)), blocks)
+
+
+def _last_block(blocks) -> int:
+    """The last block of a record of pieces from block 1 on."""
+    return blocks[-1][0].stop - 1 if blocks else 0
 
 
 def _mirsky_bound(v0: np.ndarray, v1: np.ndarray, blocks) -> float:
-    """:func:`rrbar_mirsky_bound` from diagonals of at least len(blocks)."""
-    dist, straddling = np.empty(len(blocks)), 0
-    for run in _runs(1, len(blocks), _PIECE):
+    """:func:`rrbar_mirsky_bound` from diagonals of at least the last block."""
+    dist, straddling = np.empty(_last_block(blocks)), 0
+    for run, closed, eigs in blocks:
         a, starts, size = _diagonal_couplings(v0, v1, run)
-        diag, off, eigs = (np.concatenate(part)
-                           for part in zip(*blocks[run.start - 1:run.stop - 1]))
-        # position ell < D - 1 of block D carries its off-diagonal entry ell
-        has_off = np.ones(a.size, dtype=bool)
-        has_off[starts + size - 1] = False
-        gap = np.abs(diag - np.where(has_off, 0.0, a))
-        gap[has_off] += 2.0 * np.abs(off - a[has_off])
+        last = starts + size - 1
+        gap = 2.0 * np.abs(closed - a)  # an off-diagonal entry counts twice,
+        gap[last] *= 0.5  # a block's diagonal entry once
         d = dist[run.start - 1:run.stop - 1] = np.add.reduceat(gap, starts)
         straddling += np.count_nonzero(np.abs(eigs + NEGATIVITY_ZERO_TOL)
                                        <= np.repeat(d, size))
@@ -758,8 +747,10 @@ def hardcore_negativity_RRbar(r, hc: HardcoreConfig, blocks: list | None = None)
     only the second squeezed-sum index can pass the cap, at the positions
     below 2(D-1-cap)-1. ``renormalized`` divides by the kept mass, the sum
     of the block traces. The scalar sum's :func:`_block_sum` adds the
-    blocks up, on the calling thread up to cap 21; ``blocks`` and its
-    ``ConvergenceError`` as in :func:`scalar_negativity_RRbar`.
+    blocks up as one piece, on the calling thread up to cap 21, and its
+    ``ConvergenceError`` is the scalar sum's. If ``blocks`` is a list, the
+    piece is appended to it as ``(range(1, 2 cap + 3), couplings,
+    spectra)``, the couplings capped and divided as summed.
     ``TruncationError`` past the one-particle mass rule.
     """
     rv = _r_value(r, FieldKind.HARDCORE)
@@ -769,7 +760,7 @@ def hardcore_negativity_RRbar(r, hc: HardcoreConfig, blocks: list | None = None)
     a[ell < 2 * (block - 1 - hc.cap) - 1] = 0.0
     if hc.mode == "renormalized":
         a /= sum(a[ell == block - 1].tolist())  # the block traces, in order
-    return _block_sum(rv, [(a, np.array(sizes))], blocks=blocks)
+    return _block_sum(rv, [(sizes, a)], blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -800,11 +791,26 @@ def _weight_measures(p0: np.ndarray, p1: np.ndarray) -> dict:
     return out
 
 
+def _oracle(psi: StateVector, n_max: int, blocks) -> tuple[dict, float]:
+    """(every measure but N_RRbar, the bound of :func:`rrbar_mirsky_bound`
+    on N_RRbar) from one :func:`scalar_diagonals` read of ``psi``. The
+    measures (:func:`_weight_measures`) take the squared diagonals up to
+    ``n_max`` and zero past it, with one zero past both axes so every
+    shifted read stays in range: a state deeper than ``n_max`` gives them
+    as the state at ``n_max`` would, whose amplitudes are its prefix
+    bitwise. The bound reads the recorded ``blocks``.
+    """
+    v = np.array(scalar_diagonals(psi, max(_last_block(blocks), n_max + 3)))
+    p = v[:, :n_max + 3] ** 2
+    p[:, n_max + 1:] = 0.0
+    return _weight_measures(*p), _mirsky_bound(*v, blocks)
+
+
 def scalar_constructive_measures(r, cfg: TruncationConfig,
                                  psi: StateVector | None = None) -> dict:
-    """Every measure but N_RRbar (:func:`_weight_measures`), read off the
-    two diagonals of the truncated state ``psi`` (built at ``cfg`` if not
-    given; :func:`scalar_diagonals`); :func:`rrbar_mirsky_bound` checks
+    """Every measure but N_RRbar, read off the two diagonals of the
+    truncated state ``psi`` (built at ``cfg`` if not given) as the reports'
+    oracle reads them (:func:`_oracle`); :func:`rrbar_mirsky_bound` checks
     N_RRbar. Nothing is eigensolved; the dense reductions through
     :func:`bipartite_measures` are the tests' reference. Raises
     ``NotAStateError`` on an amplitude off the diagonals.
@@ -812,9 +818,7 @@ def scalar_constructive_measures(r, cfg: TruncationConfig,
     rv = _r_value(r, FieldKind.SCALAR)
     if psi is None:
         psi = scalar_tripartite_state(rv, cfg)
-    # one zero past both axes, so every shifted read stays in range
-    v0, v1 = scalar_diagonals(psi, max(psi.dims[1:]) + 1)
-    return _weight_measures(v0 * v0, v1 * v1)
+    return _oracle(psi, psi.dims[-1] - 1, [])[0]  # AntiRob holds 0..n_max
 
 
 def scalar_report(r, cfg: TruncationConfig = TruncationConfig(),
@@ -822,10 +826,11 @@ def scalar_report(r, cfg: TruncationConfig = TruncationConfig(),
     """Correlation report for the scalar field at one acceleration.
 
     The reported values come from the series/block closed forms; with
-    ``oracle`` enabled five are checked against the measures read off the
-    truncated state's two diagonals (:func:`scalar_constructive_measures`)
-    and N_RRbar by the bound of :func:`rrbar_mirsky_bound` against the bands
-    of a deeper state: block entries decay like tanh^(n+m), not tanh^(2n),
+    ``oracle`` enabled they are checked by one read of a deeper state's two
+    diagonals (:func:`_oracle`): five against the measures of its prefix
+    up to the adaptive cutoff, as :func:`scalar_constructive_measures`
+    gives them, and N_RRbar by the bound of :func:`rrbar_mirsky_bound`
+    against its bands. Block entries decay like tanh^(n+m), not tanh^(2n),
     so twice the adaptive cutoff keeps their amplitude-level tail below
     tail_tol too. The oracle eigensolves nothing. The allowed discrepancy is
     1e-9 at the default truncation and scales with a loosened tail_tol,
@@ -845,10 +850,7 @@ def scalar_report(r, cfg: TruncationConfig = TruncationConfig(),
     closed = mutual_informations(ent.S_A, ent.S_R, ent.S_Rbar)
     closed.update(N_AR=scalar_negativity_AR(rv, cfg), N_ARbar=scalar_negativity_ARbar(rv, cfg),
                   N_RRbar=scalar_negativity_RRbar(rv, cfg, blocks))
-    constructive, bound = None, 0.0
-    if oracle:
-        bound = rrbar_mirsky_bound(deep, blocks)
-        constructive = scalar_constructive_measures(rv, cfg)
+    constructive, bound = _oracle(deep, n_max, blocks) if oracle else (None, 0.0)
     tol = max(ORACLE_TOL, 100.0 * cfg.tail_tol)
     return CorrelationReport.from_routes(rv, closed, constructive, (dv + do) / 2.0,
                                          tol, bound)
@@ -861,8 +863,8 @@ def hardcore_report(r, hc: HardcoreConfig, oracle: bool = True) -> CorrelationRe
     (:func:`hardcore_closed_measures`) and N_RRbar from
     :func:`hardcore_negativity_RRbar`, whose 2 cap + 2 tridiagonal blocks
     are the only eigensolves. The oracle reads the capped state's two
-    diagonals once, for the five measures (as
-    :func:`scalar_constructive_measures`) and for the bound of
+    diagonals once (:func:`_oracle`, as a scalar report reads its deep
+    state), for the five measures and for the bound of
     :func:`rrbar_mirsky_bound` on N_RRbar. Every builder applies the
     one-particle mass rule, so both routes raise ``TruncationError`` from
     the same r.
@@ -873,12 +875,7 @@ def hardcore_report(r, hc: HardcoreConfig, oracle: bool = True) -> CorrelationRe
     closed = hardcore_closed_measures(rv, hc)
     blocks = [] if oracle else None
     closed["N_RRbar"] = hardcore_negativity_RRbar(rv, hc, blocks)
-    constructive, bound = None, 0.0
-    if oracle:
-        psi = hardcore_tripartite_state(rv, hc)
-        # the 2 cap + 2 blocks' entries hold one zero past both axes too
-        v = np.array(scalar_diagonals(psi, len(blocks)))
-        bound = _mirsky_bound(*v, blocks)
-        constructive = _weight_measures(*v[:, :hc.cap + 3] ** 2)
+    constructive, bound = (_oracle(hardcore_tripartite_state(rv, hc), hc.cap, blocks)
+                           if oracle else (None, 0.0))
     return CorrelationReport.from_routes(rv, closed, constructive, deficit, ORACLE_TOL,
                                          bound)

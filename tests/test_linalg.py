@@ -9,8 +9,7 @@ import pytest
 
 from unruh import linalg
 from unruh.errors import ConvergenceError, NotSymmetricError
-from unruh.linalg import (sym_eigenvalues, tridiagonal_eigenvalues,
-                          tridiagonal_spectra)
+from unruh.linalg import sym_eigenvalues, tridiagonal_eigenvalues
 
 
 def test_identity():
@@ -87,51 +86,57 @@ def _random_bands(seed, sizes):
     return [(rng.standard_normal(n), rng.standard_normal(n - 1)) for n in sizes]
 
 
+def _solved_in_place(bands):
+    """(blocks solved, info) of one ``_solve_blocks`` pass over every band,
+    laid end to end in two flat working arrays as the block sums lay them,
+    and each block's descending spectrum up to the first failure."""
+    diag = np.concatenate([d for d, _ in bands])
+    # each off-diagonal padded to its block's order, as the block sums pad
+    # theirs, so every block starts at the same offset in both arrays
+    off = np.concatenate([np.append(e, 0.0) for _, e in bands])
+    starts = np.cumsum([d.size for d, _ in bands]) - [d.size for d, _ in bands]
+    width = diag.itemsize
+    solved, info = linalg._solve_blocks(
+        [(d.size, diag.ctypes.data + width * s, off.ctypes.data + width * s)
+         for (d, _), s in zip(bands, starts.tolist())])
+    return solved, info, [diag[s:s + d.size][::-1].tobytes()
+                          for (d, _), s in zip(bands[:solved], starts.tolist())]
+
+
+# more than _POOL_MIN_WORK in all, so the blocks are shared over the CPUs
+POOLED = (1, 2, 40, 7, 3, 90, 5, 180)
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_spectra_equal_one_call_per_block(monkeypatch, cpus):
     monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
-    bands = _random_bands(17, (1, 2, 40, 7, 3, 90, 5))
+    bands = _random_bands(17, POOLED)
     kept = [(d.copy(), e.copy()) for d, e in bands]
-    spectra = tridiagonal_spectra(bands)
-    assert [s.tobytes() for s in spectra] == [
-        tridiagonal_eigenvalues(d, e).tobytes() for d, e in bands]
-    # the bands are read, not overwritten
+    solved, info, spectra = _solved_in_place(bands)
+    assert (solved, info) == (len(bands), 0)
+    assert spectra == [tridiagonal_eigenvalues(d, e).tobytes() for d, e in bands]
+    # tridiagonal_eigenvalues reads its bands, and does not overwrite them
     for (d, e), (d0, e0) in zip(bands, kept):
         assert d.tobytes() == d0.tobytes() and e.tobytes() == e0.tobytes()
-    assert tridiagonal_spectra([]) == []
+    assert linalg._solve_blocks([]) == (0, 0)
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_spectra_failures_are_typed_and_ordered(monkeypatch, cpus):
     monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
-    bands = _random_bands(19, (4, 5, 6, 7, 8))
+    bands = _random_bands(19, (4, 5, 6, 7, 8, 180))
     bands[2][0][1] = bands[4][0][1] = np.nan
-    with pytest.raises(ConvergenceError, match="6x6") as err:
-        tridiagonal_spectra(bands)
-    # the spectra before the first failed block
-    assert [s.tobytes() for s in err.value.partial_value] == [
-        tridiagonal_eigenvalues(d, e).tobytes() for d, e in bands[:2]]
-    for misfit in ((np.zeros(3), np.zeros(3)), (np.zeros((2, 2)), np.zeros(3))):
-        with pytest.raises(ValueError):
-            tridiagonal_spectra(bands[:2] + [misfit])
-
-
-def test_spectra_from_concurrent_callers(monkeypatch):
-    # more solving threads than CPUs, and callers switched often
-    import sys
-    from concurrent.futures import ThreadPoolExecutor
-    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 3)
-    bands = _random_bands(23, range(2, 60))
-    want = [tridiagonal_eigenvalues(d, e).tobytes() for d, e in bands]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(4) as callers:
-            runs = [callers.submit(tridiagonal_spectra, bands) for _ in range(8)]
-            got = [[s.tobytes() for s in run.result(timeout=60)] for run in runs]
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == [want] * 8
+    with pytest.raises(ConvergenceError, match="6x6"):
+        tridiagonal_eigenvalues(*bands[2])
+    # the first failed block, in order, and the spectra before it
+    solved, info, spectra = _solved_in_place(bands)
+    assert solved == 2 and info != 0
+    assert spectra == [tridiagonal_eigenvalues(d, e).tobytes() for d, e in bands[:2]]
+    for misfit, message in (((np.zeros(3), np.zeros(3)), r"off-diagonal of shape \(2,\)"),
+                            ((np.zeros((2, 2)), np.zeros(3)), r"non-empty diagonal"),
+                            ((np.zeros(0), np.zeros(0)), r"non-empty diagonal .* \(0,\)")):
+        with pytest.raises(ValueError, match=message):
+            tridiagonal_eigenvalues(*misfit)
 
 
 # a meta-path finder that refuses every scipy import, for subprocesses
@@ -218,11 +223,11 @@ def fresh_lookup():
 def _spectra_by_route(monkeypatch, bands):
     """(numpy-route spectra, scipy-capsule spectra) of every band."""
     pytest.importorskip("scipy.linalg.cython_lapack")
-    ours = [s.tobytes() for s in tridiagonal_spectra(bands)]
+    ours = [tridiagonal_eigenvalues(d, e).tobytes() for d, e in bands]
     monkeypatch.setattr(linalg, "_DSTERF_NAMES", ())
     linalg._dsterf.cache_clear()
     assert linalg._dsterf()[1] is ctypes.c_int
-    return ours, [s.tobytes() for s in tridiagonal_spectra(bands)]
+    return ours, [tridiagonal_eigenvalues(d, e).tobytes() for d, e in bands]
 
 
 @needs_numpy_dsterf

@@ -19,15 +19,39 @@ from unruh.fock import (Bipartition, StateVector, Subsystem,  # noqa: E402
 from unruh.linalg import tridiagonal_eigenvalues  # noqa: E402
 from unruh.measures import (bipartite_measures, negativity,  # noqa: E402
                             negativity_from_pt_eigenvalues)
+from unruh import scalar  # noqa: E402
 from unruh.scalar import (HardcoreConfig, TruncationConfig,  # noqa: E402
                           hardcore_closed_measures, hardcore_negativity_RRbar,
                           hardcore_report, hardcore_rho,
-                          hardcore_tripartite_state, rrbar_bands,
-                          rrbar_block_constructive, rrbar_block_diagonals,
-                          scalar_constructive_measures, scalar_negativity_RRbar,
+                          hardcore_tripartite_state, rrbar_block_constructive,
+                          rrbar_block_diagonals, scalar_constructive_measures,
+                          scalar_diagonals, scalar_negativity_RRbar,
                           scalar_report, scalar_tripartite_state)
 
 R = st.floats(min_value=0.0, max_value=25.0)
+
+
+def _split(run, couplings, spectra=None):
+    """(diagonal, off-diagonal) of every block D in ``run`` laid end to end
+    in the flat ``couplings``, where a block's last position is its only
+    diagonal entry; with the flat ascending ``spectra``, each block's
+    descending spectrum too."""
+    out, s = [], 0
+    for D in run:
+        diag = np.zeros(D)
+        diag[-1] = couplings[s + D - 1]
+        out.append((diag, couplings[s:s + D - 1])
+                   + (() if spectra is None else (spectra[s:s + D][::-1],)))
+        s += D
+    return out
+
+
+def _state_bands(psi, n_blocks):
+    """(diagonal, off-diagonal) of blocks 1..n_blocks read off the two
+    diagonals of ``psi``."""
+    run = range(1, n_blocks + 1)
+    v0, v1 = scalar_diagonals(psi, n_blocks)
+    return _split(run, scalar._diagonal_couplings(v0, v1, run)[0])
 
 
 def _raises(r, hc, oracle) -> bool:
@@ -66,7 +90,7 @@ def test_table_bands_are_the_dense_bands_and_reject_a_stray_amplitude(r, n_max, 
     psi = scalar_tripartite_state(r, TruncationConfig(n_max=n_max))
     d_r, d_b = psi.dims[1:]
     # blocks past d_r + d_b - 1 lie wholly beyond the cutoff and read 0
-    for d, (diag, off) in enumerate(rrbar_bands(psi, d_r + d_b + 2), start=1):
+    for d, (diag, off) in enumerate(_state_bands(psi, d_r + d_b + 2), start=1):
         block = rrbar_block_constructive(psi, d)
         assert diag.tobytes() == np.diag(block).tobytes(), (d, r, n_max)
         assert off.tobytes() == np.diag(block, 1).tobytes(), (d, r, n_max)
@@ -80,7 +104,7 @@ def test_table_bands_are_the_dense_bands_and_reject_a_stray_amplitude(r, n_max, 
     amps *= math.sqrt(psi.norm2 / float(np.sum(amps * amps)))  # still a state
     stray = StateVector(psi.basis, amps.ravel(), trace_deficit=psi.trace_deficit)
     with pytest.raises(NotAStateError, match="off offsets 0 and 1"):
-        rrbar_bands(stray, 0)
+        scalar_diagonals(stray, 0)
 
 
 def _outcome(measures, *args):
@@ -135,7 +159,7 @@ def test_hardcore_diagonal_read_is_the_dense_oracle(cap, mode, r):
     psi = hardcore_tripartite_state(r, HardcoreConfig(cap=cap, mode=mode))
     _assert_diagonal_read_is_dense(r, TruncationConfig(n_max=cap), psi)
     # the hardcore blocks run to 2 cap + 2
-    for d, (diag, off) in enumerate(rrbar_bands(psi, 2 * cap + 2), start=1):
+    for d, (diag, off) in enumerate(_state_bands(psi, 2 * cap + 2), start=1):
         block = rrbar_block_constructive(psi, d)
         assert diag.tobytes() == np.diag(block).tobytes(), (d, cap, mode, r)
         assert off.tobytes() == np.diag(block, 1).tobytes(), (d, cap, mode, r)
@@ -172,8 +196,9 @@ def _per_block(r, n_blocks, cap=None, renormalized=False):
 
 def _assert_bitwise(value, blocks, want, want_blocks):
     assert value.hex() == want.hex(), (value, want)
-    assert len(blocks) == len(want_blocks)
-    for d, (got, ref) in enumerate(zip(blocks, want_blocks), start=1):
+    got_blocks = [block for piece in blocks for block in _split(*piece)]
+    assert len(got_blocks) == len(want_blocks)
+    for d, (got, ref) in enumerate(zip(got_blocks, want_blocks), start=1):
         assert [x.tobytes() for x in got] == [x.tobytes() for x in ref], d
 
 
@@ -191,7 +216,7 @@ def test_hardcore_block_sum_is_the_per_block_loop(cap, mode, r):
 def test_scalar_block_sum_is_the_per_block_loop(r):
     blocks = []
     value = scalar_negativity_RRbar(r, TruncationConfig(), blocks)
-    _assert_bitwise(value, blocks, *_per_block(r, len(blocks)))
+    _assert_bitwise(value, blocks, *_per_block(r, sum(len(run) for run, _, _ in blocks)))
 
 
 @given(r=st.floats(min_value=0.0, max_value=math.pi / 4))

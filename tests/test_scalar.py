@@ -17,10 +17,10 @@ from unruh.measures import (negativity, negativity_from_pt_eigenvalues,
 from unruh.scalar import (HardcoreConfig, TruncationConfig, hardcore_report,
                           hardcore_rho, hardcore_tripartite_state,
                           one_particle_tail, rapidity_scalar, resolve_n_max,
-                          rob_weight, rrbar_bands, rrbar_block,
-                          rrbar_block_basis, rrbar_block_constructive,
-                          rrbar_block_diagonals, rrbar_mirsky_bound,
-                          scalar_closed_rho, scalar_constructive_measures,
+                          rob_weight, rrbar_block, rrbar_block_basis,
+                          rrbar_block_constructive, rrbar_block_diagonals,
+                          rrbar_mirsky_bound, scalar_closed_rho,
+                          scalar_constructive_measures, scalar_diagonals,
                           scalar_entropies, scalar_negativity_AR,
                           scalar_negativity_ARbar, scalar_negativity_RRbar,
                           scalar_one_particle, scalar_report,
@@ -428,7 +428,7 @@ def test_band_equals_dense_block_diagonals(r, n_max):
     psi = scalar_tripartite_state(r, TruncationConfig(n_max=n_max))
     d_r, d_b = psi.dims[1:]
     # blocks past d_r + d_b - 1 lie wholly beyond the cutoff and read 0
-    bands = rrbar_bands(psi, d_r + d_b + 2)
+    bands = _state_bands(psi, d_r + d_b + 2)
     for d, (diag, off) in enumerate(bands, start=1):
         block = rrbar_block_constructive(psi, d)
         assert diag.tobytes() == np.diag(block).tobytes()
@@ -469,7 +469,7 @@ def test_tridiagonality_check_matches_dense_blocks(eps, labels):
     psi = _with_stray_amplitudes(
         scalar_tripartite_state(0.6, TruncationConfig(n_max=8)), eps, labels)
     with pytest.raises(NotAStateError, match="off offsets 0 and 1"):
-        rrbar_bands(psi, 0)
+        scalar_diagonals(psi, 0)
 
 
 @pytest.mark.parametrize("label", [(0, 4, 3), (1, 3, 3)])
@@ -480,16 +480,49 @@ def test_each_alice_row_keeps_to_its_own_offset(label):
     psi = _with_stray_amplitudes(
         scalar_tripartite_state(0.6, TruncationConfig(n_max=8)), 1e-3, [label])
     with pytest.raises(NotAStateError, match="off offsets 0 and 1"):
-        rrbar_bands(psi, 0)
+        scalar_diagonals(psi, 0)
     with pytest.raises(NotAStateError, match="off offsets 0 and 1"):
         scalar_constructive_measures(0.6, CFG, psi=psi)
+
+
+def _split(run, couplings, spectra=None):
+    """(diagonal, off-diagonal) of every block D in ``run`` laid end to end
+    in the flat ``couplings``, where a block's last position is its only
+    diagonal entry; with the flat ascending ``spectra``, each block's
+    descending spectrum too."""
+    out, s = [], 0
+    for D in run:
+        diag = np.zeros(D)
+        diag[-1] = couplings[s + D - 1]
+        out.append((diag, couplings[s:s + D - 1])
+                   + (() if spectra is None else (spectra[s:s + D][::-1],)))
+        s += D
+    return out
+
+
+def _recorded(blocks):
+    """(diagonal, off-diagonal, spectrum) of every block of a record of
+    (run, couplings, spectra) pieces, in order."""
+    return [block for piece in blocks for block in _split(*piece)]
+
+
+def _block_count(blocks):
+    return sum(len(run) for run, _, _ in blocks)
+
+
+def _state_bands(psi, n_blocks):
+    """(diagonal, off-diagonal) of blocks 1..n_blocks read off the two
+    diagonals of ``psi``."""
+    run = range(1, n_blocks + 1)
+    v0, v1 = scalar_diagonals(psi, n_blocks)
+    return _split(run, scalar._diagonal_couplings(v0, v1, run)[0])
 
 
 def _constructive_rrbar_negativity(psi, n_blocks):
     """Reference: negativity of blocks 1..n_blocks of the state's own
     Rob-AntiRob partial transpose, each block eigensolved."""
     return sum(negativity_from_pt_eigenvalues(tridiagonal_eigenvalues(diag, off))
-               for diag, off in rrbar_bands(psi, n_blocks))
+               for diag, off in _state_bands(psi, n_blocks))
 
 
 def _closed_blocks(r):
@@ -545,7 +578,11 @@ def test_oracle_reads_diagonals_not_dense_reductions(monkeypatch):
 def test_closed_blocks_are_recorded_in_order():
     value, blocks = _closed_blocks(R_HALF)
     assert value == scalar_negativity_RRbar(R_HALF, CFG)
-    for d, (diag, off, eigs) in enumerate(blocks, start=1):
+    # flat pieces of consecutive blocks from block 1 on
+    assert [D for run, _, _ in blocks for D in run] == list(range(1, _block_count(blocks) + 1))
+    for run, couplings, spectra in blocks:
+        assert couplings.shape == spectra.shape == (sum(run),)
+    for d, (diag, off, eigs) in enumerate(_recorded(blocks), start=1):
         want_diag, want_off = rrbar_block_diagonals(R_HALF, d)
         assert diag.tobytes() == want_diag.tobytes()
         assert off.tobytes() == want_off.tobytes()
@@ -559,7 +596,7 @@ def test_mirsky_bound_covers_perturbed_blocks(r, eps):
     closed, blocks = _closed_blocks(r)
     psi = _scaled_beyond(_oracle_state(r), eps)
     bound = rrbar_mirsky_bound(psi, blocks)
-    assert abs(closed - _constructive_rrbar_negativity(psi, len(blocks))) <= bound
+    assert abs(closed - _constructive_rrbar_negativity(psi, _block_count(blocks))) <= bound
     # and it is not vacuous: far below the value, far above rounding
     assert 1e-3 * eps < bound < 1e2 * eps
 
@@ -584,12 +621,13 @@ def _whole_range_bands(psi, n_blocks):
 def _whole_range_bound(psi, blocks):
     """Reference: the Mirsky bound from every block at once, as it was
     formed before the blocks were read in runs."""
-    bands = _whole_range_bands(psi, len(blocks))
-    if not blocks:
+    recorded = _recorded(blocks)
+    bands = _whole_range_bands(psi, len(recorded))
+    if not recorded:
         return 0.0
-    diag, off, eigs = (np.concatenate(part) for part in zip(*blocks))
+    diag, off, eigs = (np.concatenate(part) for part in zip(*recorded))
     built_diag, built_off = (np.concatenate(part) for part in zip(*bands))
-    size = np.arange(1, len(blocks) + 1)
+    size = np.arange(1, len(recorded) + 1)
     starts = np.cumsum(size) - size
     has_off = np.ones(diag.size, dtype=bool)
     has_off[starts + size - 1] = False
@@ -602,7 +640,12 @@ def _whole_range_bound(psi, blocks):
 
 def _assert_pieced_is_whole_range(psi, blocks):
     assert rrbar_mirsky_bound(psi, blocks).hex() == _whole_range_bound(psi, blocks).hex()
-    got, want = rrbar_bands(psi, len(blocks)), _whole_range_bands(psi, len(blocks))
+    # each recorded piece's couplings, read off the diagonals, are the
+    # whole range's
+    v0, v1 = scalar_diagonals(psi, _block_count(blocks))
+    got = [band for run, _, _ in blocks
+           for band in _split(run, scalar._diagonal_couplings(v0, v1, run)[0])]
+    want = _whole_range_bands(psi, _block_count(blocks))
     assert len(got) == len(want)
     for (diag, off), (want_diag, want_off) in zip(got, want):
         assert diag.tobytes() == want_diag.tobytes()
@@ -616,7 +659,7 @@ def test_pieced_mirsky_bound_is_the_whole_range_bound(r, entries, eps):
     # past r = 0.3 the band entries outnumber _PIECE, so runs end inside
     # the block list
     _, blocks = _closed_blocks(r)
-    assert sum(diag.size for diag, _, _ in blocks) == entries
+    assert sum(couplings.size for _, couplings, _ in blocks) == entries
     psi = _oracle_state(r)
     _assert_pieced_is_whole_range(_scaled_beyond(psi, eps) if eps else psi, blocks)
 
@@ -632,7 +675,8 @@ def test_pieced_mirsky_bound_is_the_whole_range_bound_for_hardcore(cap, mode):
 
 
 def test_pieced_mirsky_bound_with_runs_of_a_few_entries(monkeypatch):
-    # runs of at most 5 entries: single-block runs from block 3 on
+    # pieces of at most 5 entries: single-block pieces from block 3 on, and
+    # the first piece alone is blocks 1 and 2
     monkeypatch.setattr(scalar, "_PIECE", 5)
     _, blocks = _closed_blocks(0.9)
     _assert_pieced_is_whole_range(_scaled_beyond(_oracle_state(0.9), 1e-6), blocks)
@@ -657,7 +701,8 @@ def test_mirsky_bound_allocates_in_bounded_runs(r):
 
 def test_scalar_report_peak_allocation():
     # the deep state (1.6 MB at r = 1.5) and the recorded blocks are the
-    # report's largest arrays; the whole-range oracle took it to 6.5 MB
+    # report's largest arrays; the whole-range oracle took it to 6.5 MB,
+    # and a second, shallow state for the five measures to about 3 MB
     scalar_report(1.5, CFG)  # start the pool and find dsterf first
     tracemalloc.start()
     try:
@@ -665,7 +710,24 @@ def test_scalar_report_peak_allocation():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4_000_000, peak
+    assert peak < 2_750_000, peak
+
+
+@pytest.mark.parametrize("report,args", [
+    (scalar_report, (0.5, CFG)), (scalar_report, (1.5, CFG)),
+    (hardcore_report, (1.3, HardcoreConfig(cap=2))),
+    (hardcore_report, (1.3, HardcoreConfig(cap=62, mode="renormalized")))])
+def test_report_builds_and_reads_one_state(monkeypatch, report, args):
+    # the oracle's five measures and its Rob-AntiRob bound come from one
+    # read of one state's two diagonals
+    calls = []
+    for name in ("_component_amplitudes", "scalar_diagonals"):
+        def counted(*a, real=getattr(scalar, name), name=name):
+            calls.append(name)
+            return real(*a)
+        monkeypatch.setattr(scalar, name, counted)
+    assert report(*args).oracle_discrepancy <= 1e-9
+    assert sorted(calls) == ["_component_amplitudes", "scalar_diagonals"]
 
 
 def test_mirsky_bound_counts_threshold_straddling():
@@ -680,13 +742,14 @@ def test_mirsky_bound_counts_threshold_straddling():
     amps = np.zeros(tuple(b.dim for b in basis))
     amps[0, 0, 0], amps[0, 1, 1] = math.sqrt(1.0 - s * s), s
     psi = StateVector(basis, amps.ravel())
-    bands = rrbar_bands(psi, 2)
-    one, c = bands[0][0], float(bands[1][1][0])
+    bands = _state_bands(psi, 2)
+    one, c = float(bands[0][0][0]), float(bands[1][1][0])
     assert tol < c < tol + 1e-13
     c_closed = c - 1e-13
-    blocks = [(one, np.zeros(0), one.copy()),
-              (np.zeros(2), np.array([c_closed]), np.array([c_closed, -c_closed]))]
-    closed = sum(negativity_from_pt_eigenvalues(e) for _, _, e in blocks)
+    # blocks 1 and 2 as one piece: [one] and [[0, c_closed], [c_closed, 0]]
+    blocks = [(range(1, 3), np.array([one, c_closed, 0.0]),
+               np.array([one, -c_closed, c_closed]))]
+    closed = sum(negativity_from_pt_eigenvalues(e) for _, _, e in _recorded(blocks))
     built = _constructive_rrbar_negativity(psi, 2)
     assert closed == 0.0 and built == c
     bound = rrbar_mirsky_bound(psi, blocks)
@@ -710,18 +773,18 @@ def test_oracle_catches_perturbed_deep_state(monkeypatch):
 def test_oracle_eigensolves_only_the_closed_blocks(monkeypatch):
     # every block eigensolve, on any thread, goes through linalg._solve
     solves, recorded = [], []
-    solve, bound = linalg._solve, scalar.rrbar_mirsky_bound
+    solve, bound = linalg._solve, scalar._mirsky_bound
 
     def counted_solve(n, diag, offdiag):
         solves.append(n)
         return solve(n, diag, offdiag)
 
-    def recording_bound(psi, blocks):
-        recorded.append(len(blocks))
-        return bound(psi, blocks)
+    def recording_bound(v0, v1, blocks):
+        recorded.append(_block_count(blocks))
+        return bound(v0, v1, blocks)
     monkeypatch.setattr(linalg, "_solve", counted_solve)
-    monkeypatch.setattr(scalar, "rrbar_mirsky_bound", recording_bound)
-    n_blocks = len(_closed_blocks(1.2)[1])
+    monkeypatch.setattr(scalar, "_mirsky_bound", recording_bound)
+    n_blocks = _block_count(_closed_blocks(1.2)[1])
     alone = sorted(solves)
     solves.clear()
     scalar_report(1.2, CFG)
@@ -773,7 +836,7 @@ def _blockwise(r, n_blocks):
 @pytest.mark.parametrize("r", [1e-12, 1e-6, 0.05, 0.3, 0.77, 1.0, 1.2, 1.5, 1.65, 1.67])
 def test_rrbar_stop_drops_only_zero_blocks(r):
     value, blocks = _closed_blocks(r)
-    last = len(blocks)
+    last = _block_count(blocks)
     assert 2 <= last <= CFG.d_max
     want, spectra = _blockwise(r, last + 5)
     assert value == want
@@ -829,7 +892,7 @@ def test_rrbar_names_r_where_every_block_drops_below_the_tolerance(r):
 def test_truncation_robustness():
     # doubling the cutoff moves nothing by more than 1e-8 at the range top
     n_max = resolve_n_max(1.5, CFG)
-    n_blocks = len(_closed_blocks(1.5)[1])
+    n_blocks = _block_count(_closed_blocks(1.5)[1])
     values = []
     for cut in (n_max, 2 * n_max):
         got = scalar_constructive_measures(1.5, TruncationConfig(n_max=cut))
